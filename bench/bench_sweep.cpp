@@ -20,15 +20,15 @@ constexpr std::size_t kUsers = 512;
 constexpr std::size_t kChannels = 12;
 constexpr RadioCount kRadios = 4;
 
-Game make_large_game() {
-  return Game(GameConfig(kUsers, kChannels, kRadios),
-              std::make_shared<PowerLawRate>(1.0, 1.0));
+GameModel make_large_game() {
+  return GameModel(GameConfig(kUsers, kChannels, kRadios),
+                   std::make_shared<PowerLawRate>(1.0, 1.0));
 }
 
 /// Best-single-move play from a random start with the welfare trace on —
 /// the configuration where per-activation full recompute hurts most.
 void run_dynamics(benchmark::State& state, bool incremental) {
-  const Game game = make_large_game();
+  const GameModel game = make_large_game();
   Rng start_rng(42);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
   DynamicsOptions options;
@@ -53,7 +53,7 @@ void BM_DynamicsIncremental512(benchmark::State& state) {
 BENCHMARK(BM_DynamicsIncremental512)->Unit(benchmark::kMillisecond);
 
 void run_best_response_dynamics(benchmark::State& state, bool incremental) {
-  const Game game = make_large_game();
+  const GameModel game = make_large_game();
   Rng start_rng(43);
   const StrategyMatrix start = random_full_allocation(game, start_rng);
   DynamicsOptions options;

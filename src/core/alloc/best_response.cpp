@@ -267,11 +267,4 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   return result;
 }
 
-DynamicsResult run_response_dynamics(const Game& game,
-                                     const StrategyMatrix& start,
-                                     const DynamicsOptions& options,
-                                     Rng* rng) {
-  return run_response_dynamics(GameModel(game), start, options, rng);
-}
-
 }  // namespace mrca

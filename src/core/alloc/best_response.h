@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/strategy.h"
 
@@ -89,13 +88,6 @@ struct DynamicsResult {
 /// is THE dynamics implementation: every game the library models (base and
 /// extensions alike) runs through it.
 DynamicsResult run_response_dynamics(const GameModel& model,
-                                     const StrategyMatrix& start,
-                                     const DynamicsOptions& options = {},
-                                     Rng* rng = nullptr);
-
-/// Convenience overload for the paper's homogeneous game: builds the
-/// equivalent GameModel (one tabulation) and delegates.
-DynamicsResult run_response_dynamics(const Game& game,
                                      const StrategyMatrix& start,
                                      const DynamicsOptions& options = {},
                                      Rng* rng = nullptr);

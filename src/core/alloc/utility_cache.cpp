@@ -27,13 +27,6 @@ UtilityCache::UtilityCache(const GameModel& model,
   rebuild(strategies);
 }
 
-UtilityCache::UtilityCache(const Game& game, const StrategyMatrix& strategies)
-    : owned_(std::make_shared<GameModel>(game)),
-      model_(owned_.get()),
-      num_channels_(game.config().num_channels) {
-  rebuild(strategies);
-}
-
 void UtilityCache::rebuild(const StrategyMatrix& strategies) {
   model_->validate(strategies);
   tracked_ = &strategies;

@@ -40,11 +40,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/game.h"
 #include "core/game_model.h"
 #include "core/rate_table.h"
 #include "core/strategy.h"
@@ -58,10 +56,6 @@ class UtilityCache {
   /// Builds the cache for `strategies` (O(|N|*|C|)). The model must outlive
   /// the cache.
   UtilityCache(const GameModel& model, const StrategyMatrix& strategies);
-
-  /// Convenience for the paper's homogeneous game: builds and owns an
-  /// equivalent GameModel internally (tabulation is the only extra work).
-  UtilityCache(const Game& game, const StrategyMatrix& strategies);
 
   const GameModel& model() const noexcept { return *model_; }
 
@@ -185,7 +179,6 @@ class UtilityCache {
                                     : kMaskOverflowBit);
   }
 
-  std::shared_ptr<const GameModel> owned_;  ///< set by the Game constructor
   const GameModel* model_;
   const Topology* topology_ = nullptr;  ///< model's graph; null = global
   const StrategyMatrix* tracked_ = nullptr;  ///< the paired matrix

@@ -1,11 +1,11 @@
 // THE single-radio deviation scanner and exact best-response DP — one
-// implementation, shared by the homogeneous Game path (core/analysis/
-// deviation.cpp, rate uniform across channels, zero cost) and the unified
-// GameModel path (core/game_model.cpp, per-channel rates, per-user
-// budgets, energy price). The scan order (deploys, then per-source parks
-// and moves), the strict-'>' tie policy and the share() arithmetic are
-// load-bearing: both paths must walk bit-identical trajectories, so they
-// must come from this file and nowhere else.
+// implementation, shared by GameModel's scans (core/game_model.cpp), the
+// cached dynamics driver (core/alloc/best_response.cpp) and the O(1)
+// benefit helpers (core/analysis/deviation.cpp). The scan order (deploys,
+// then per-source parks and moves), the strict-'>' tie policy and the
+// share() arithmetic are load-bearing: every caller must walk
+// bit-identical trajectories, so they must come from this file and
+// nowhere else.
 //
 // `RateAt` is any callable `double(ChannelId, RadioCount)` returning the
 // total rate of a channel at a load; `cost` is the per-radio energy price
@@ -137,14 +137,19 @@ double park_benefit_at(const StrategyMatrix& strategies, UserId user,
 
 /// Fills the three share kernels for channel `c` from buf.own / buf.load.
 /// gain_from is only meaningful (and only ever read) on occupied channels;
-/// the guard keeps rate_at off negative loads for empty ones.
+/// the guard keeps rate_at off negative loads for empty ones. gain_to is
+/// only read when the channel can receive one of the user's radios
+/// (`receivable`: a spare to deploy, or a radio on another channel to
+/// move); the guard keeps rate_at off load + 1 on a channel that already
+/// carries every radio of the game, a load no legal change reaches.
 template <typename RateAt>
-inline void fill_share_kernels(ScanBuffers& buf, ChannelId c,
-                               RateAt rate_at) {
+inline void fill_share_kernels(ScanBuffers& buf, ChannelId c, RateAt rate_at,
+                               bool receivable) {
   const RadioCount own = buf.own[c];
   const RadioCount load = buf.load[c];
   buf.before[c] = share(rate_at(c, load), own, load);
-  buf.gain_to[c] = share(rate_at(c, load + 1), own + 1, load + 1);
+  buf.gain_to[c] =
+      receivable ? share(rate_at(c, load + 1), own + 1, load + 1) : 0.0;
   buf.gain_from[c] =
       own > 0 ? share(rate_at(c, load - 1), own - 1, load - 1) : 0.0;
 }
@@ -162,8 +167,9 @@ void scan_single_changes(const StrategyMatrix& strategies, UserId user,
   buf.resize(channels);
   strategies.copy_row(user, buf.own);
   for (ChannelId c = 0; c < channels; ++c) buf.load[c] = load_at(c);
+  const RadioCount deployed = strategies.user_total(user);
   for (ChannelId c = 0; c < channels; ++c) {
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, has_spare || buf.own[c] < deployed);
   }
   if (has_spare) {
     for (ChannelId to = 0; to < channels; ++to) {
@@ -233,15 +239,16 @@ void scan_single_changes_pruned(const StrategyMatrix& strategies, UserId user,
   }
   // Fill loads and share kernels only where a candidate can read them:
   // dirty destinations and the user's occupied source channels (the two
-  // sets are disjoint here).
+  // sets are disjoint here, so no candidate moves onto a source channel).
+  const bool receivable = has_spare || strategies.user_total(user) > 0;
   for (const ChannelId c : dirty) {
     buf.load[c] = load_at(c);
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, receivable);
   }
   for (ChannelId c = 0; c < channels; ++c) {
     if (buf.own[c] <= 0) continue;
     buf.load[c] = load_at(c);
-    fill_share_kernels(buf, c, rate_at);
+    fill_share_kernels(buf, c, rate_at, /*receivable=*/false);
   }
   if (has_spare) {
     for (const ChannelId to : dirty) {

@@ -48,9 +48,6 @@ GameConfig config_from_budgets(std::size_t num_channels,
 
 }  // namespace
 
-GameModel::GameModel(const Game& game)
-    : GameModel(game.config(), game.rate_function_ptr(), 0.0) {}
-
 GameModel::GameModel(GameConfig config,
                      std::shared_ptr<const RateFunction> rate,
                      double radio_cost)

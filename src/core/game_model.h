@@ -12,8 +12,9 @@
 // with k_i <= budget_i <= |C| and an optional per-user utility weight w_i
 // (priority classes: how much the operator values user i's throughput).
 // Setting all budgets equal, all R_c equal, cost = 0 and every w_i = 1
-// recovers the paper's game bit-for-bit (rates are tabulated via
-// RateTable, whose lookups are bit-identical to the live RateFunction).
+// recovers the paper's game (eq. 3) bit-for-bit: that is the uniform
+// constructor GameModel(config, rate). Rates are tabulated via RateTable,
+// whose lookups are bit-identical to the live RateFunction.
 // Weights scale every option of a user by the same positive factor, so the
 // best-response argmax — and hence the set of equilibria — is unchanged;
 // what weights move is the VALUATION layer (utilities, welfare, fairness,
@@ -21,9 +22,8 @@
 //
 // Everything the response-dynamics hot path needs lives here once: exact
 // DP best response, single-radio deviation scans, welfare and the system
-// optimum — so `Game`, `HeterogeneousGame`, `VariableRadioGame` and
-// `EnergyAwareGame` are thin views over one engine instead of four silos,
-// and a new scenario is a constructor call, not a class.
+// optimum — so the paper's game and every extension are one engine, and a
+// new scenario is a constructor call, not a class.
 #pragma once
 
 #include <memory>
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "core/analysis/deviation.h"
-#include "core/game.h"
+#include "core/rate_function.h"
 #include "core/rate_table.h"
 #include "core/strategy.h"
 #include "core/topology.h"
@@ -41,12 +41,9 @@ namespace mrca {
 
 class GameModel {
  public:
-  /// The paper's homogeneous game: uniform budgets, one rate, no cost.
-  /// Shares the game's rate function (cheap; tabulation is the only work).
-  explicit GameModel(const Game& game);
-
   /// Uniform budgets and a single shared rate function, with an optional
-  /// energy price per deployed radio (the EnergyAwareGame axis).
+  /// energy price per deployed radio. With no price this is the paper's
+  /// game.
   GameModel(GameConfig config, std::shared_ptr<const RateFunction> rate,
             double radio_cost = 0.0);
 

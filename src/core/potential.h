@@ -13,23 +13,30 @@
 // `move_potential_gap` quantifies the discrepancy; the test suite proves it
 // zero exactly when the mover has one radio on the source and none on the
 // target, and the convergence bench measures how dynamics behave anyway.
+//
+// The model generalizes Phi channel by channel, sum_c sum_j R_c(j)/j, and
+// charges the energy price once per deployed radio, which keeps Phi exact
+// for single-radio deploys and parks too. Loads are the global column sums
+// (the single collision domain the Rosenthal argument needs).
 #pragma once
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "core/strategy.h"
 
 namespace mrca {
 
 /// Phi(S) as above. O(|C| * max_load).
-double potential(const Game& game, const StrategyMatrix& strategies);
+double potential(const GameModel& model, const StrategyMatrix& strategies);
 
 /// Change of Phi caused by the move (computed incrementally, O(1)).
-double potential_delta(const Game& game, const StrategyMatrix& strategies,
+double potential_delta(const GameModel& model,
+                       const StrategyMatrix& strategies,
                        const RadioMove& move);
 
 /// (user's benefit of change) - (potential delta) for a move: zero for
 /// unit-weight movers, nonzero in general for multi-radio users.
-double move_potential_gap(const Game& game, const StrategyMatrix& strategies,
+double move_potential_gap(const GameModel& model,
+                          const StrategyMatrix& strategies,
                           const RadioMove& move);
 
 }  // namespace mrca

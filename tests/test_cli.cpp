@@ -291,4 +291,242 @@ TEST(CliTopology, TopologyCsvIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.output, eight.output);
 }
 
+// Byte lock on the single-game commands: full output and exit code of
+// solve, verify (an equilibrium and a non-equilibrium), dynamics and
+// simulate, each under TDMA and Bianchi DCF rates. The expected strings
+// were captured from the binary before the single-game commands moved to
+// GameModel, so any drift in Algorithm 1, the utility arithmetic, the
+// Nash checks, the dynamics trajectory or the DES replay shows up here.
+struct CliGolden {
+  const char* args;
+  int exit_code;
+  const char* output;
+};
+
+const CliGolden kSingleGameGoldens[] = {
+    {"solve 4 3 2", 0,
+     R"(Algorithm 1 on N=4, k=2, C=3 with TDMA-constant(1):
+
+       c1   c2   c3  
+  u1     1    1    0 
+  u2     1    0    1 
+  u3     0    1    1 
+  u4     1    1    0 
+loads: [3, 3, 2] (delta = 1)
+
+  U(u1) = 0.6667
+  U(u2) = 0.8333
+  U(u3) = 0.8333
+  U(u4) = 0.6667
+  welfare = 3.0000 (optimum 3.0000)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+price of anarchy:      1
+)"},
+    {"solve 5 4 2 --rate dcf", 0,
+     R"(Algorithm 1 on N=5, k=2, C=4 with Bianchi-DCF(practical):
+
+       c1   c2   c3   c4  
+  u1     1    1    0    0 
+  u2     0    0    1    1 
+  u3     1    1    0    0 
+  u4     0    0    1    1 
+  u5     1    1    0    0 
+loads: [3, 3, 2, 2] (delta = 1)
+
+  U(u1) = 0.5579
+  U(u2) = 0.8388
+  U(u3) = 0.5579
+  U(u4) = 0.8388
+  U(u5) = 0.5579
+  welfare = 3.3513 (optimum 3.3551)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+price of anarchy:      1.00116
+)"},
+    {"verify 4 3 2 '1,1,0|0,1,1|1,0,1|1,1,0'", 0,
+     R"(       c1   c2   c3  
+  u1     1    1    0 
+  u2     0    1    1 
+  u3     1    0    1 
+  u4     1    1    0 
+loads: [3, 3, 2] (delta = 1)
+
+  U(u1) = 0.6667
+  U(u2) = 0.8333
+  U(u3) = 0.8333
+  U(u4) = 0.6667
+  welfare = 3.0000 (optimum 3.0000)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+)"},
+    {"verify 4 3 2 '1,1,0|0,1,1|1,0,1|1,1,0' --rate dcf", 0,
+     R"(       c1   c2   c3  
+  u1     1    1    0 
+  u2     0    1    1 
+  u3     1    0    1 
+  u4     1    1    0 
+loads: [3, 3, 2] (delta = 1)
+
+  U(u1) = 0.5579
+  U(u2) = 0.6983
+  U(u3) = 0.6983
+  U(u4) = 0.5579
+  welfare = 2.5125 (optimum 2.5163)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+)"},
+    {"verify 3 3 1 '1,0,0|1,0,0|0,0,1'", 1,
+     R"(       c1   c2   c3  
+  u1     1    0    0 
+  u2     1    0    0 
+  u3     0    0    1 
+loads: [2, 0, 1] (delta = 2)
+
+  U(u1) = 0.5000
+  U(u2) = 0.5000
+  U(u3) = 1.0000
+  welfare = 2.0000 (optimum 3.0000)
+
+Theorem 1 predicate:   violated
+single-move stability: unstable
+exact Nash (oracle):   NOT an equilibrium
+violations:
+  [Theorem 1] user 1: theorem assumes |N|*k > |C| (conflict regime); use Fact 1
+)"},
+    {"verify 3 3 1 '1,0,0|1,0,0|0,0,1' --rate dcf", 1,
+     R"(       c1   c2   c3  
+  u1     1    0    0 
+  u2     1    0    0 
+  u3     0    0    1 
+loads: [2, 0, 1] (delta = 2)
+
+  U(u1) = 0.4194
+  U(u2) = 0.4194
+  U(u3) = 0.8388
+  welfare = 1.6776 (optimum 2.5163)
+
+Theorem 1 predicate:   violated
+single-move stability: unstable
+exact Nash (oracle):   NOT an equilibrium
+violations:
+  [Theorem 1] user 1: theorem assumes |N|*k > |C| (conflict regime); use Fact 1
+)"},
+    {"dynamics 4 3 2 --seed 7", 0,
+     R"(random start:
+       c1   c2   c3  
+  u1     1    0    1 
+  u2     0    0    2 
+  u3     0    0    2 
+  u4     2    0    0 
+
+best-response dynamics: 4 improving moves, 8 activations, converged
+
+       c1   c2   c3  
+  u1     1    1    0 
+  u2     0    1    1 
+  u3     0    1    1 
+  u4     1    0    1 
+loads: [2, 3, 3] (delta = 1)
+
+  U(u1) = 0.8333
+  U(u2) = 0.6667
+  U(u3) = 0.6667
+  U(u4) = 0.8333
+  welfare = 3.0000 (optimum 3.0000)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+)"},
+    {"dynamics 5 4 2 --rate dcf --seed 11", 0,
+     R"(random start:
+       c1   c2   c3   c4  
+  u1     2    0    0    0 
+  u2     1    1    0    0 
+  u3     1    1    0    0 
+  u4     0    0    1    1 
+  u5     1    0    1    0 
+
+best-response dynamics: 1 improving moves, 6 activations, converged
+
+       c1   c2   c3   c4  
+  u1     0    0    1    1 
+  u2     1    1    0    0 
+  u3     1    1    0    0 
+  u4     0    0    1    1 
+  u5     1    0    1    0 
+loads: [3, 2, 3, 2] (delta = 1)
+
+  U(u1) = 0.6983
+  U(u2) = 0.6983
+  U(u3) = 0.6983
+  U(u4) = 0.6983
+  U(u5) = 0.5579
+  welfare = 3.3513 (optimum 3.3551)
+
+Theorem 1 predicate:   satisfied
+single-move stability: stable
+exact Nash (oracle):   equilibrium
+)"},
+    {"simulate 3 2 1 --seconds 1", 0,
+     R"(equilibrium allocation:
+       c1   c2  
+  u1     1    0 
+  u2     0    1 
+  u3     1    0 
+loads: [2, 1] (delta = 1)
+
+| user | game prediction | simulated [Mbit/s] |
+|------|-----------------|--------------------|
+|   u1 |          0.5000 |             0.5000 |
+|   u2 |          1.0000 |             0.9900 |
+|   u3 |          0.5000 |             0.4900 |
+total simulated: 1.98 Mbit/s over 1 s
+)"},
+    {"simulate 4 3 2 --rate dcf --seconds 1 --seed 3", 0,
+     R"(equilibrium allocation:
+       c1   c2   c3  
+  u1     1    1    0 
+  u2     1    0    1 
+  u3     0    1    1 
+  u4     1    1    0 
+loads: [3, 3, 2] (delta = 1)
+
+| user | game prediction | simulated [Mbit/s] |
+|------|-----------------|--------------------|
+|   u1 |          0.5579 |             0.4747 |
+|   u2 |          0.6983 |             0.6547 |
+|   u3 |          0.6983 |             0.7693 |
+|   u4 |          0.5579 |             0.6302 |
+total simulated: 2.52886 Mbit/s over 1 s
+)"},
+};
+
+TEST(CliGoldenText, SingleGameCommandsAreByteIdentical) {
+  for (const CliGolden& golden : kSingleGameGoldens) {
+    SCOPED_TRACE(golden.args);
+    const CliResult result = run_cli(golden.args);
+    EXPECT_EQ(result.exit_code, golden.exit_code);
+    EXPECT_EQ(result.output, golden.output);
+  }
+}
+
+TEST(CliRegression, CrowdedStrictDcfSweepSucceeds) {
+  // Single-move dynamics from random starts reach a channel carrying every
+  // radio; the scan must not price a load beyond the strict DCF table.
+  const CliResult result = run_cli(
+      "sweep --users 4 --channels 3 --radios 1 --rates dcf "
+      "--granularity single --replicates 8 --seed 1");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
 }  // namespace

@@ -6,8 +6,11 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/alloc/best_response.h"
 #include "core/alloc/random_alloc.h"
 #include "core/analysis/nash.h"
+#include "engine/scenario.h"
+#include "engine/sweep.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -19,13 +22,13 @@ using testing::matrix_of;
 using testing::power_law_game;
 
 TEST(MoveBenefit, RequiresRadioOnSource) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   const StrategyMatrix matrix = game.empty_strategy();
   EXPECT_THROW(move_benefit(game, matrix, {0, 0, 1}), std::logic_error);
 }
 
 TEST(MoveBenefit, SelfMoveIsZero) {
-  const Game game = constant_game(2, 3, 2);
+  const GameModel game = constant_game(2, 3, 2);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 1);
   EXPECT_DOUBLE_EQ(move_benefit(game, matrix, {0, 1, 1}), 0.0);
@@ -37,7 +40,7 @@ class BenefitFormulaProperty
     : public ::testing::TestWithParam<std::shared_ptr<const RateFunction>> {};
 
 TEST_P(BenefitFormulaProperty, MoveMatchesRecomputation) {
-  const Game game(GameConfig(4, 5, 3), GetParam());
+  const GameModel game(GameConfig(4, 5, 3), GetParam());
   Rng rng(99);
   for (int trial = 0; trial < 300; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -61,7 +64,7 @@ TEST_P(BenefitFormulaProperty, MoveMatchesRecomputation) {
 }
 
 TEST_P(BenefitFormulaProperty, DeployAndParkMatchRecomputation) {
-  const Game game(GameConfig(4, 5, 3), GetParam());
+  const GameModel game(GameConfig(4, 5, 3), GetParam());
   Rng rng(77);
   for (int trial = 0; trial < 300; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -96,13 +99,54 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_shared<GeometricDecayRate>(1.0, 0.7),
                       std::make_shared<LinearDecayRate>(1.0, 0.05)));
 
+TEST(BenefitFormulas, MatchRawRecomputationOnEveryScenarioKind) {
+  // Energy price, per-channel rates, mixed budgets, utility weights and an
+  // interference ring: each O(1) benefit and utility_if_played must equal
+  // the raw (weight-free) utility difference the model recomputes.
+  for (const char* spec : {"energy=0.3", "het=2:1", "budgets=1:3",
+                           "weights=2:1", "topology=ring:1"}) {
+    SCOPED_TRACE(spec);
+    const GameModel model = engine::ScenarioSpec::parse(spec).make_model(
+        6, 4, 3, std::make_shared<PowerLawRate>(1.0, 0.5));
+    Rng rng(31);
+    for (int trial = 0; trial < 50; ++trial) {
+      const StrategyMatrix matrix = random_partial_allocation(model, rng);
+      for (UserId i = 0; i < model.num_users(); ++i) {
+        const double before = model.raw_utility(matrix, i);
+        for (ChannelId c = 0; c < model.num_channels(); ++c) {
+          if (matrix.user_total(i) < model.budget(i)) {
+            StrategyMatrix changed = matrix;
+            changed.add_radio(i, c);
+            ASSERT_NEAR(deploy_benefit(model, matrix, i, c),
+                        model.raw_utility(changed, i) - before, 1e-12);
+            ASSERT_NEAR(utility_if_played(model, matrix, i, changed.row(i)),
+                        model.raw_utility(changed, i), 1e-12);
+          }
+          if (matrix.at(i, c) == 0) continue;
+          StrategyMatrix parked = matrix;
+          parked.remove_radio(i, c);
+          ASSERT_NEAR(park_benefit(model, matrix, i, c),
+                      model.raw_utility(parked, i) - before, 1e-12);
+          for (ChannelId to = 0; to < model.num_channels(); ++to) {
+            if (to == c) continue;
+            StrategyMatrix moved = matrix;
+            moved.move_radio(i, c, to);
+            ASSERT_NEAR(move_benefit(model, matrix, {i, c, to}),
+                        model.raw_utility(moved, i) - before, 1e-12);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DeployBenefit, PositiveExactlyWhenChannelNotMonopolized) {
   // Constant R: deploying a spare radio strictly helps unless the user
   // already owns every radio on a non-empty channel (then the new radio
   // only splits the user's own share). Deploying on a channel with any
   // opponent radio — in particular any channel in C \ C_i, the move behind
   // Lemma 1 — is strictly profitable.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {
     StrategyMatrix matrix = random_partial_allocation(game, rng);
@@ -125,7 +169,7 @@ TEST(DeployBenefit, PositiveExactlyWhenChannelNotMonopolized) {
 TEST(ParkBenefit, NeverPositiveForConstantRate) {
   // With constant R a radio's share never hurts its owner, so parking can't
   // strictly help.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(6);
   for (int trial = 0; trial < 200; ++trial) {
     StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -141,7 +185,7 @@ TEST(ParkBenefit, NeverPositiveForConstantRate) {
 TEST(ParkBenefit, CanBePositiveForSteepRate) {
   // R(k) = 1/k^2: a user with both radios of a 2-radio channel gains by
   // withdrawing one (R(1) = 1 > R(2) = 0.25).
-  const Game game = power_law_game(2, 3, 2, 2.0);
+  const GameModel game = power_law_game(2, 3, 2, 2.0);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(0, 0);
@@ -150,9 +194,9 @@ TEST(ParkBenefit, CanBePositiveForSteepRate) {
 
 TEST(BestSingleChange, FindsTheObviousMove) {
   // User 0's radio shares a crowded channel; an empty channel beckons.
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto matrix = matrix_of(game, {{1, 0, 0}, {1, 0, 0}, {1, 0, 0}});
-  const auto change = best_single_change(game, matrix, 0);
+  const auto change = game.best_single_change(matrix, 0);
   ASSERT_TRUE(change.has_value());
   EXPECT_EQ(change->kind, SingleChange::Kind::kMove);
   EXPECT_EQ(change->from, 0u);
@@ -161,24 +205,24 @@ TEST(BestSingleChange, FindsTheObviousMove) {
 }
 
 TEST(BestSingleChange, NoneAtStableState) {
-  const Game game = constant_game(3, 3, 1);
+  const GameModel game = constant_game(3, 3, 1);
   const auto matrix = matrix_of(game, {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}});
-  EXPECT_FALSE(best_single_change(game, matrix, 0).has_value());
-  EXPECT_FALSE(best_single_change(game, matrix, 1).has_value());
+  EXPECT_FALSE(game.best_single_change(matrix, 0).has_value());
+  EXPECT_FALSE(game.best_single_change(matrix, 1).has_value());
 }
 
 TEST(BestSingleChange, PrefersDeployWhenSparesExist) {
-  const Game game = constant_game(2, 4, 2);
+  const GameModel game = constant_game(2, 4, 2);
   auto matrix = game.empty_strategy();
   matrix.add_radio(0, 0);  // user 0 has one spare
-  const auto change = best_single_change(game, matrix, 0);
+  const auto change = game.best_single_change(matrix, 0);
   ASSERT_TRUE(change.has_value());
   EXPECT_EQ(change->kind, SingleChange::Kind::kDeploy);
   EXPECT_NEAR(change->benefit, 1.0, 1e-12);  // an empty channel's full rate
 }
 
 TEST(ImprovingSingleChanges, EnumeratesFigure1Deviations) {
-  const Game game = constant_game(4, 5, 4);
+  const GameModel game = constant_game(4, 5, 4);
   const auto matrix = matrix_of(game, figure1_rows());
   const auto changes = improving_single_changes(game, matrix);
   EXPECT_FALSE(changes.empty());
@@ -196,7 +240,7 @@ TEST(ImprovingSingleChanges, EnumeratesFigure1Deviations) {
 }
 
 TEST(UtilityIfPlayed, MatchesSetRow) {
-  const Game game = power_law_game(3, 4, 3, 1.0);
+  const GameModel game = power_law_game(3, 4, 3, 1.0);
   Rng rng(11);
   for (int trial = 0; trial < 100; ++trial) {
     StrategyMatrix matrix = random_full_allocation(game, rng);
@@ -209,7 +253,7 @@ TEST(UtilityIfPlayed, MatchesSetRow) {
 }
 
 TEST(UtilityIfPlayed, RejectsWrongWidth) {
-  const Game game = constant_game(2, 3, 1);
+  const GameModel game = constant_game(2, 3, 1);
   const StrategyMatrix matrix = game.empty_strategy();
   const std::vector<RadioCount> row = {1, 0};
   EXPECT_THROW(utility_if_played(game, matrix, 0, row),
@@ -225,13 +269,13 @@ class BestResponseOracle
 
 TEST_P(BestResponseOracle, DpEqualsEnumeration) {
   const auto& [rate, seed] = GetParam();
-  const Game game(GameConfig(3, 4, 3), rate);
+  const GameModel game(GameConfig(3, 4, 3), rate);
   Rng rng(seed);
   const auto all_rows = enumerate_strategy_rows(game.config());
   for (int trial = 0; trial < 60; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     for (UserId i = 0; i < 3; ++i) {
-      const BestResponse dp = best_response(game, matrix, i);
+      const BestResponse dp = game.best_response(matrix, i);
       double best_enumerated = 0.0;
       for (const auto& row : all_rows) {
         best_enumerated = std::max(
@@ -257,17 +301,43 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BestResponse, UsesAllRadiosForConstantRate) {
   // Lemma 1's engine: with R > 0 constant, the best response never parks.
-  const Game game = constant_game(3, 4, 3);
+  const GameModel game = constant_game(3, 4, 3);
   Rng rng(13);
   for (int trial = 0; trial < 100; ++trial) {
     const StrategyMatrix matrix = random_partial_allocation(game, rng);
     for (UserId i = 0; i < 3; ++i) {
-      const BestResponse response = best_response(game, matrix, i);
+      const BestResponse response = game.best_response(matrix, i);
       RadioCount total = 0;
       for (const RadioCount x : response.strategy) total += x;
       EXPECT_EQ(total, 3) << matrix.key();
     }
   }
+}
+
+/// Regression: a channel that carries every radio of the game is already
+/// at the largest load the strict DCF table covers; the scan used to price
+/// one radio more on it (a load no legal change reaches) and threw.
+TEST(SingleChangeScan, CrowdedStrictDcfChannelScansWithoutThrowing) {
+  const GameConfig config(4, 3, 1);
+  const GameModel model(
+      config, engine::RateSpec::parse("dcf").make(config.total_radios()));
+  StrategyMatrix crowded = model.empty_strategy();
+  for (UserId user = 0; user < config.num_users; ++user) {
+    crowded.add_radio(user, 0);
+  }
+  for (UserId user = 0; user < config.num_users; ++user) {
+    const auto change = model.best_single_change(crowded, user);
+    ASSERT_TRUE(change.has_value());
+    EXPECT_EQ(change->kind, SingleChange::Kind::kMove);
+    EXPECT_EQ(change->from, 0u);
+    EXPECT_GT(change->benefit, 0.0);
+  }
+  // The cached single-move dynamics start from the same crowd.
+  DynamicsOptions options;
+  options.granularity = ResponseGranularity::kBestSingleMove;
+  const DynamicsResult result = run_response_dynamics(model, crowded, options);
+  EXPECT_TRUE(result.converged);
+  EXPECT_LE(result.final_state.max_load() - result.final_state.min_load(), 1);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// The unified GameModel: equivalence with the four concrete game classes,
-// oracle-grade best responses under every scenario axis, the shared
-// cache-accelerated dynamics driver on extension games, and the
-// incremental-vs-recomputed utility agreement the tentpole demands.
+// The unified GameModel: golden values of the paper's game captured from
+// the retired homogeneous-game class, oracle-grade best responses under
+// every scenario axis, the shared cache-accelerated dynamics driver on
+// extension scenarios, and the incremental-vs-recomputed utility
+// agreement.
 #include "core/game_model.h"
 
 #include <gtest/gtest.h>
@@ -15,16 +16,13 @@
 #include "core/alloc/sequential.h"
 #include "core/alloc/utility_cache.h"
 #include "core/analysis/nash.h"
-#include "core/ext/energy.h"
-#include "core/ext/heterogeneous.h"
-#include "core/ext/variable_radios.h"
 #include "test_util.h"
 
 namespace mrca {
 namespace {
 
-using testing::constant_game;
 using testing::power_law_game;
+using testing::TraceDigest;
 
 std::shared_ptr<const RateFunction> unit_rate() {
   return std::make_shared<ConstantRate>(1.0);
@@ -60,54 +58,54 @@ TEST(GameModel, ValidatesConstruction) {
   EXPECT_NO_THROW(GameModel(3, {0, 2, 3}, {unit_rate()}));
 }
 
-TEST(GameModel, MatchesHomogeneousGameExactly) {
-  const Game game = power_law_game(5, 4, 2);
-  const GameModel model(game);
+// The two golden digests below were captured by running the same walks
+// through the retired homogeneous-game class (its utility, welfare,
+// best_response, best_single_change and improving_changes_for_user)
+// before it was deleted; the model must keep reproducing them bit for bit.
+
+TEST(GameModel, PaperGameMatchesGoldenValues) {
+  const GameModel model = power_law_game(5, 4, 2);
   EXPECT_TRUE(model.uniform_rates());
   EXPECT_TRUE(model.uniform_budgets());
-  EXPECT_EQ(model.total_radios(), game.config().total_radios());
+  EXPECT_EQ(model.total_radios(), 10);
   Rng rng(11);
+  TraceDigest digest;
   for (int trial = 0; trial < 100; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
+    const StrategyMatrix matrix = random_partial_allocation(model, rng);
+    digest << matrix.key();
     for (UserId i = 0; i < 5; ++i) {
-      ASSERT_DOUBLE_EQ(model.utility(matrix, i), game.utility(matrix, i));
-      const BestResponse a = model.best_response(matrix, i);
-      const BestResponse b = best_response(game, matrix, i);
-      ASSERT_EQ(a.utility, b.utility);
-      ASSERT_EQ(a.strategy, b.strategy);
+      const BestResponse response = model.best_response(matrix, i);
+      digest << model.utility(matrix, i) << response.utility
+             << response.strategy;
     }
-    ASSERT_DOUBLE_EQ(model.welfare(matrix), game.welfare(matrix));
-    ASSERT_EQ(model.is_nash_equilibrium(matrix),
-              is_nash_equilibrium(game, matrix));
+    digest << model.welfare(matrix) << model.is_nash_equilibrium(matrix);
   }
-  EXPECT_DOUBLE_EQ(model.optimal_welfare(), game.optimal_welfare());
+  EXPECT_EQ(digest.value(), 0x60a57711412d49c0ULL);
+  EXPECT_EQ(model.optimal_welfare(), 4.0);
 }
 
-TEST(GameModel, SingleChangeScansMatchHomogeneousScanner) {
-  const Game game = power_law_game(5, 4, 2);
-  const GameModel model(game);
+TEST(GameModel, PaperGameSingleChangeScansMatchGoldenValues) {
+  const GameModel model = power_law_game(5, 4, 2);
   Rng rng(17);
+  TraceDigest digest;
+  std::size_t improving = 0;
   for (int trial = 0; trial < 50; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
+    const StrategyMatrix matrix = random_partial_allocation(model, rng);
+    digest << matrix.key();
     for (UserId i = 0; i < 5; ++i) {
-      const auto a = model.best_single_change(matrix, i);
-      const auto b = best_single_change(game, matrix, i);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) {
-        EXPECT_EQ(a->benefit, b->benefit);
-        EXPECT_EQ(a->kind, b->kind);
-        EXPECT_EQ(a->from, b->from);
-        EXPECT_EQ(a->to, b->to);
-      }
-      const auto list_a = model.improving_changes_for_user(matrix, i);
-      const auto list_b = improving_changes_for_user(game, matrix, i);
-      ASSERT_EQ(list_a.size(), list_b.size());
-      for (std::size_t j = 0; j < list_a.size(); ++j) {
-        EXPECT_EQ(list_a[j].benefit, list_b[j].benefit);
-        EXPECT_EQ(list_a[j].kind, list_b[j].kind);
+      const auto best = model.best_single_change(matrix, i);
+      digest << best.has_value();
+      if (best) digest << best->kind << best->from << best->to << best->benefit;
+      const auto list = model.improving_changes_for_user(matrix, i);
+      improving += list.size();
+      digest << list.size();
+      for (const SingleChange& change : list) {
+        digest << change.kind << change.from << change.to << change.benefit;
       }
     }
   }
+  EXPECT_EQ(improving, 889u);
+  EXPECT_EQ(digest.value(), 0x9149e7d325e5e041ULL);
 }
 
 TEST(GameModel, BestResponseIsAnOracleUnderAllAxesCombined) {
@@ -211,7 +209,7 @@ void drive_cache_and_check(const GameModel& model, Rng& rng, int steps) {
   EXPECT_NEAR(cache.welfare(), model.welfare(matrix), 1e-12);
 }
 
-TEST(GameModelCache, TracksHeterogeneousGameTrajectories) {
+TEST(GameModelCache, TracksHeterogeneousBandTrajectories) {
   const GameModel model(4, std::vector<RadioCount>(6, 3), mixed_rates());
   Rng rng(31);
   drive_cache_and_check(model, rng, 1500);
@@ -251,34 +249,21 @@ TEST(GameModelCache, BudgetChecksUseTheModelNotTheMatrixCap) {
 
 // --- The shared driver on extension games ---------------------------------
 
-TEST(UnifiedDynamics, ExtensionGamesConvergeThroughTheSharedDriver) {
-  // The three extension classes now delegate to run_response_dynamics;
-  // their fixed points must still be verified equilibria of their models.
-  const HeterogeneousGame het(GameConfig(5, 4, 2), mixed_rates());
-  const auto het_outcome = het.run_best_response_dynamics(het.empty_strategy());
-  ASSERT_TRUE(het_outcome.converged);
-  EXPECT_TRUE(het.is_nash_equilibrium(het_outcome.final_state));
-
-  const VariableRadioGame var(4, {1, 2, 3, 4}, unit_rate());
-  const auto var_outcome = var.run_best_response_dynamics(var.empty_strategy());
-  ASSERT_TRUE(var_outcome.converged);
-  EXPECT_TRUE(var.is_nash_equilibrium(var_outcome.final_state));
-
-  const EnergyAwareGame energy(constant_game(4, 4, 3), 0.3);
-  const auto energy_outcome =
-      energy.run_best_response_dynamics(energy.base().empty_strategy());
-  ASSERT_TRUE(energy_outcome.converged);
-  EXPECT_TRUE(energy.is_nash_equilibrium(energy_outcome.final_state));
-}
-
-TEST(UnifiedDynamics, ResultTypesAreTheSharedAliases) {
-  // Satellite of the unification: the per-class result structs are gone;
-  // the aliases must BE the shared DynamicsResult.
-  static_assert(
-      std::is_same_v<HeterogeneousGame::DynamicsOutcome, DynamicsResult>);
-  static_assert(std::is_same_v<VariableRadioGame::Outcome, DynamicsResult>);
-  static_assert(std::is_same_v<EnergyAwareGame::Outcome, DynamicsResult>);
-  static_assert(std::is_same_v<BestResponseHet, BestResponse>);
+TEST(UnifiedDynamics, ExtensionScenariosConvergeThroughTheSharedDriver) {
+  // Heterogeneous bands, mixed budgets and an energy price all run on
+  // run_response_dynamics; their fixed points from the empty allocation
+  // must be verified equilibria of their models.
+  const GameModel models[] = {
+      GameModel(4, std::vector<RadioCount>(5, 2), mixed_rates()),
+      GameModel(4, {1, 2, 3, 4}, {unit_rate()}),
+      GameModel(GameConfig(4, 4, 3), unit_rate(), 0.3),
+  };
+  for (const GameModel& model : models) {
+    const DynamicsResult outcome =
+        run_response_dynamics(model, model.empty_strategy());
+    ASSERT_TRUE(outcome.converged);
+    EXPECT_TRUE(model.is_nash_equilibrium(outcome.final_state));
+  }
 }
 
 TEST(UnifiedDynamics, IncrementalAndRecomputedPathsAgreeOnExtensions) {

@@ -169,8 +169,7 @@ TEST(ScanPruningWitness, SkipsGrowSuperlinearlyOnSparseGraphs) {
 }
 
 TEST(ScanPruningPlan, GlobalDomainEpochStateMachine) {
-  const Game game = testing::power_law_game(3, 4, 2);
-  const GameModel model(game);
+  const GameModel model = testing::power_law_game(3, 4, 2);
   StrategyMatrix matrix = model.empty_strategy();
   matrix.add_radio(0, 0);
   matrix.add_radio(1, 2);

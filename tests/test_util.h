@@ -1,33 +1,38 @@
 // Shared helpers for the mrca test suite.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
-#include "core/game.h"
+#include "core/game_model.h"
 #include "core/rate_function.h"
 #include "core/strategy.h"
 
 namespace mrca::testing {
 
-/// Game with constant rate 1.0 (the paper's TDMA / optimal-CSMA regime).
-inline Game constant_game(std::size_t users, std::size_t channels,
-                          RadioCount radios, double rate = 1.0) {
-  return Game(GameConfig(users, channels, radios),
-              std::make_shared<ConstantRate>(rate));
+/// The paper's game with constant rate 1.0 (the TDMA / optimal-CSMA
+/// regime).
+inline GameModel constant_game(std::size_t users, std::size_t channels,
+                               RadioCount radios, double rate = 1.0) {
+  return GameModel(GameConfig(users, channels, radios),
+                   std::make_shared<ConstantRate>(rate));
 }
 
-/// Game with strictly decreasing R(k) = 1/k^alpha.
-inline Game power_law_game(std::size_t users, std::size_t channels,
-                           RadioCount radios, double alpha = 0.5) {
-  return Game(GameConfig(users, channels, radios),
-              std::make_shared<PowerLawRate>(1.0, alpha));
+/// The paper's game with strictly decreasing R(k) = 1/k^alpha.
+inline GameModel power_law_game(std::size_t users, std::size_t channels,
+                                RadioCount radios, double alpha = 0.5) {
+  return GameModel(GameConfig(users, channels, radios),
+                   std::make_shared<PowerLawRate>(1.0, alpha));
 }
 
 /// Strategy matrix from an initializer-friendly row list.
-inline StrategyMatrix matrix_of(const Game& game,
+inline StrategyMatrix matrix_of(const GameModel& model,
                                 std::vector<std::vector<RadioCount>> rows) {
-  return StrategyMatrix::from_rows(game.config(), rows);
+  return StrategyMatrix::from_rows(model.config(), rows);
 }
 
 /// The paper's Figure 1 / Figure 2 worked example:
@@ -44,5 +49,43 @@ inline std::vector<std::vector<RadioCount>> figure1_rows() {
           {1, 2, 0, 1, 0},
           {1, 0, 1, 0, 0}};
 }
+
+/// Order-sensitive FNV-1a digest of a value trace. Doubles enter by their
+/// exact bits, so a golden digest pins every bit of every value a walk
+/// produced, not a rounded print of it.
+class TraceDigest {
+ public:
+  TraceDigest& operator<<(double value) {
+    return mix(std::bit_cast<std::uint64_t>(value));
+  }
+  template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  TraceDigest& operator<<(T value) {
+    return mix(static_cast<std::uint64_t>(value));
+  }
+  TraceDigest& operator<<(const std::string& text) {
+    for (const char c : text) byte(static_cast<unsigned char>(c));
+    return mix(text.size());
+  }
+  template <typename T>
+  TraceDigest& operator<<(const std::vector<T>& values) {
+    for (const T& value : values) *this << value;
+    return mix(values.size());
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  TraceDigest& mix(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<unsigned char>(word >> (8 * i)));
+    }
+    return *this;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace mrca::testing

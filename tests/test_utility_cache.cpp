@@ -20,6 +20,7 @@ using testing::constant_game;
 using testing::figure1_rows;
 using testing::matrix_of;
 using testing::power_law_game;
+using testing::TraceDigest;
 
 std::vector<std::shared_ptr<const RateFunction>> rate_families() {
   return {std::make_shared<ConstantRate>(1.0),
@@ -46,7 +47,7 @@ TEST(RateTable, FallsBackToFunctionBeyondTabulatedRange) {
 }
 
 TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
-  const Game game = power_law_game(4, 5, 4);
+  const GameModel game = power_law_game(4, 5, 4);
   const StrategyMatrix matrix = matrix_of(game, figure1_rows());
   const UtilityCache cache(game, matrix);
   for (UserId i = 0; i < 4; ++i) {
@@ -60,7 +61,7 @@ TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
 /// utilities in agreement with the full recompute.
 TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
   for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(8, 6, 3), rate_fn);
+    const GameModel game(GameConfig(8, 6, 3), rate_fn);
     Rng rng(2024);
     StrategyMatrix matrix = random_partial_allocation(game, rng);
     UtilityCache cache(game, matrix);
@@ -96,7 +97,7 @@ TEST(UtilityCache, TracksRandomTrajectoriesWithinTolerance) {
 }
 
 TEST(UtilityCache, OccupantListsTrackMembership) {
-  const Game game = constant_game(3, 3, 2);
+  const GameModel game = constant_game(3, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   UtilityCache cache(game, matrix);
   EXPECT_TRUE(cache.occupants(0).empty());
@@ -112,7 +113,7 @@ TEST(UtilityCache, OccupantListsTrackMembership) {
 }
 
 TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
-  const Game game = power_law_game(3, 3, 2);
+  const GameModel game = power_law_game(3, 3, 2);
   StrategyMatrix matrix = game.empty_strategy();
   UtilityCache cache(game, matrix);
   cache.add_radio(matrix, 0, 0);
@@ -134,7 +135,7 @@ TEST(UtilityCache, InvalidMutationsThrowWithoutCorruptingTheCache) {
 }
 
 TEST(UtilityCache, RebuildResetsDrift) {
-  const Game game = power_law_game(4, 4, 2);
+  const GameModel game = power_law_game(4, 4, 2);
   Rng rng(7);
   StrategyMatrix matrix = random_full_allocation(game, rng);
   UtilityCache cache(game, matrix);
@@ -147,7 +148,7 @@ TEST(UtilityCache, RebuildResetsDrift) {
 
 TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
   for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(6, 5, 3), rate_fn);
+    const GameModel game(GameConfig(6, 5, 3), rate_fn);
     StrategyMatrix matrix = game.empty_strategy();
     UtilityCache cache(game, matrix);
     for (UserId user = 0; user < 6; ++user) {
@@ -160,37 +161,33 @@ TEST(UtilityCache, SequentialAllocationThreadsTheCache) {
   }
 }
 
-TEST(UtilityCache, TableBackedDeviationScansMatchVirtualDispatch) {
-  const Game game = power_law_game(6, 5, 3);
+/// The table-backed scans against golden values: the digest was captured
+/// from the retired virtual-dispatch scanner (RateFunction::rate per
+/// candidate, no memoized tables), so it pins the tables to the live
+/// function's arithmetic.
+TEST(UtilityCache, TableBackedDeviationScansMatchGoldenValues) {
+  const GameModel model = power_law_game(6, 5, 3);
   Rng rng(99);
+  TraceDigest digest;
   for (int trial = 0; trial < 20; ++trial) {
-    const StrategyMatrix matrix = random_partial_allocation(game, rng);
-    const RateTable table(game.rate_function(), game.config().total_radios());
+    const StrategyMatrix matrix = random_partial_allocation(model, rng);
+    digest << matrix.key();
     for (UserId user = 0; user < 6; ++user) {
-      const auto direct = best_single_change(game, matrix, user);
-      const auto cached =
-          best_single_change(game, matrix, user, kUtilityTolerance, table);
-      ASSERT_EQ(direct.has_value(), cached.has_value());
-      if (direct) {
-        EXPECT_EQ(direct->benefit, cached->benefit);
-        EXPECT_EQ(direct->kind, cached->kind);
-        EXPECT_EQ(direct->from, cached->from);
-        EXPECT_EQ(direct->to, cached->to);
-      }
-      const BestResponse oracle_direct = best_response(game, matrix, user);
-      const BestResponse oracle_cached =
-          best_response(game, matrix, user, table);
-      EXPECT_EQ(oracle_direct.utility, oracle_cached.utility);
-      EXPECT_EQ(oracle_direct.strategy, oracle_cached.strategy);
+      const auto best = model.best_single_change(matrix, user);
+      digest << best.has_value();
+      if (best) digest << best->kind << best->from << best->to << best->benefit;
+      const BestResponse oracle = model.best_response(matrix, user);
+      digest << oracle.utility << oracle.strategy;
     }
   }
+  EXPECT_EQ(digest.value(), 0x3b1a65c6e8479abfULL);
 }
 
 /// End-to-end: the incremental dynamics must walk the exact trajectory of
 /// the seed's full-recompute path.
 TEST(UtilityCache, IncrementalDynamicsMatchFullRecomputePath) {
   for (const auto& rate_fn : rate_families()) {
-    const Game game(GameConfig(7, 5, 3), rate_fn);
+    const GameModel game(GameConfig(7, 5, 3), rate_fn);
     for (const auto granularity : {ResponseGranularity::kBestResponse,
                                    ResponseGranularity::kBestSingleMove,
                                    ResponseGranularity::kRandomImprovingMove}) {

@@ -366,18 +366,18 @@ GameConfig parse_config(const CliOptions& options) {
   return GameConfig(users, channels, static_cast<RadioCount>(radios));
 }
 
-void report_state(const Game& game, const StrategyMatrix& matrix) {
+void report_state(const GameModel& model, const StrategyMatrix& matrix) {
   std::cout << render_matrix(matrix) << render_loads(matrix) << "\n\n"
-            << render_utilities(game, matrix) << '\n';
+            << render_utilities(model, matrix) << '\n';
   const Theorem1Result theorem = check_theorem1(matrix);
   std::cout << "Theorem 1 predicate:   "
             << (theorem.predicts_nash() ? "satisfied" : "violated") << '\n'
             << "single-move stability: "
-            << (is_single_move_stable(game, matrix) ? "stable" : "unstable")
+            << (is_single_move_stable(model, matrix) ? "stable" : "unstable")
             << '\n'
             << "exact Nash (oracle):   "
-            << (is_nash_equilibrium(game, matrix) ? "equilibrium"
-                                                  : "NOT an equilibrium")
+            << (is_nash_equilibrium(model, matrix) ? "equilibrium"
+                                                   : "NOT an equilibrium")
             << '\n';
   if (!theorem.violations.empty()) {
     std::cout << "violations:\n";
@@ -390,39 +390,42 @@ void report_state(const Game& game, const StrategyMatrix& matrix) {
 
 int cmd_solve(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel model(config,
+                        make_rate(options.rate, config.total_radios()));
   std::cout << "Algorithm 1 on " << config.describe() << " with "
-            << game.rate_function().name() << ":\n\n";
-  const StrategyMatrix ne = sequential_allocation(game);
-  report_state(game, ne);
-  std::cout << "price of anarchy:      " << price_of_anarchy(game) << '\n';
+            << model.rate_function(0).name() << ":\n\n";
+  const StrategyMatrix ne = sequential_allocation(model);
+  report_state(model, ne);
+  std::cout << "price of anarchy:      " << price_of_anarchy(model) << '\n';
   return 0;
 }
 
 int cmd_verify(const CliOptions& options) {
   if (options.positional.size() < 4) usage("verify needs N C k MATRIX");
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel model(config,
+                        make_rate(options.rate, config.total_radios()));
   const StrategyMatrix matrix =
       parse_matrix(config, options.positional[3]);
-  report_state(game, matrix);
-  return is_nash_equilibrium(game, matrix) ? 0 : 1;
+  report_state(model, matrix);
+  return is_nash_equilibrium(model, matrix) ? 0 : 1;
 }
 
 int cmd_dynamics(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
+  const GameModel model(config,
+                        make_rate(options.rate, config.total_radios()));
   Rng rng(options.seed);
-  const StrategyMatrix start = random_full_allocation(game, rng);
+  const StrategyMatrix start = random_full_allocation(model, rng);
   std::cout << "random start:\n" << render_matrix(start) << '\n';
   DynamicsOptions dynamics;
   dynamics.record_welfare_trace = true;
   const DynamicsResult result =
-      run_response_dynamics(game, start, dynamics, &rng);
+      run_response_dynamics(model, start, dynamics, &rng);
   std::cout << "best-response dynamics: " << result.improving_steps
             << " improving moves, " << result.activations << " activations, "
             << (result.converged ? "converged" : "budget exhausted") << "\n\n";
-  report_state(game, result.final_state);
+  report_state(model, result.final_state);
   return result.converged ? 0 : 1;
 }
 
@@ -448,8 +451,9 @@ int cmd_rates(const CliOptions& options) {
 
 int cmd_simulate(const CliOptions& options) {
   const GameConfig config = parse_config(options);
-  const Game game(config, make_rate(options.rate, config.total_radios()));
-  const StrategyMatrix ne = sequential_allocation(game);
+  const GameModel model(config,
+                        make_rate(options.rate, config.total_radios()));
+  const StrategyMatrix ne = sequential_allocation(model);
   std::cout << "equilibrium allocation:\n"
             << render_matrix(ne) << render_loads(ne) << "\n\n";
   sim::NetworkOptions network;
@@ -461,7 +465,7 @@ int cmd_simulate(const CliOptions& options) {
   Table table({"user", "game prediction", "simulated [Mbit/s]"});
   for (UserId i = 0; i < config.num_users; ++i) {
     table.add_row({Table::label("u", i + 1),
-                   Table::fmt(game.utility(ne, i), 4),
+                   Table::fmt(model.utility(ne, i), 4),
                    Table::fmt(measured.per_user_bps[i] / 1e6, 4)});
   }
   table.print(std::cout);
