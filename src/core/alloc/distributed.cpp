@@ -1,11 +1,10 @@
 #include "core/alloc/distributed.h"
 
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "core/analysis/deviation.h"
-#include "core/analysis/nash.h"
+#include "core/analysis/snapshot_scan.h"
 
 namespace mrca {
 
@@ -23,6 +22,9 @@ DistributedResult run_distributed_allocation(const GameModel& model,
   StrategyMatrix& state = result.final_state;
   const std::size_t users = model.config().num_users;
 
+  // One scanner, re-bound after every commit phase: the termination test
+  // and the plan phase read the same memoized scans of the snapshot.
+  SnapshotScanner scanner(model, state, options.tolerance);
   std::vector<SingleChange> planned;
   planned.reserve(users);
   while (result.rounds < options.max_rounds) {
@@ -30,7 +32,7 @@ DistributedResult run_distributed_allocation(const GameModel& model,
     // Termination test against the *current* state: if nobody has an
     // improving single change, the protocol is stable regardless of who
     // activates.
-    if (is_single_move_stable(model, state, options.tolerance)) {
+    if (scanner.stable()) {
       result.converged = true;
       break;
     }
@@ -38,9 +40,7 @@ DistributedResult run_distributed_allocation(const GameModel& model,
     planned.clear();
     for (UserId user = 0; user < users; ++user) {
       if (!rng.bernoulli(options.activation_probability)) continue;
-      const auto change =
-          model.best_single_change(state, user, options.tolerance);
-      if (change) planned.push_back(*change);
+      if (const auto& change = scanner.best(user)) planned.push_back(*change);
     }
     // Commit phase: apply simultaneously-decided changes. A planned change
     // is always applicable: it only touches the planning user's own radios,
@@ -59,10 +59,9 @@ DistributedResult run_distributed_allocation(const GameModel& model,
       }
       ++result.total_moves;
     }
+    scanner.bind(state);
   }
-  if (!result.converged) {
-    result.converged = is_single_move_stable(model, state, options.tolerance);
-  }
+  if (!result.converged) result.converged = scanner.stable();
   return result;
 }
 

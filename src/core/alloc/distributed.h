@@ -19,6 +19,17 @@
 // active user's best single change may deploy a spare radio or park one,
 // budget- and cost-aware, through the same shared deviation scanner as the
 // centralized dynamics.
+//
+// Cost per round: one SnapshotScanner (core/analysis/snapshot_scan.h),
+// re-bound to the state after each commit phase. A round costs one share
+// table build (single collision domain; under a topology each scanned user
+// is priced at its own perceived loads instead) plus at most one scan per
+// evaluated user: the termination test and the plan phase share the
+// scanner's memoized scans. The loop keeps no UtilityCache:
+// a herding round commits many simultaneous moves (about 17 per round on
+// 32- and 64-user, 8-channel, 2-radio cells at the default p), and the
+// cache would re-price every occupant of both channels of each move, about
+// as much work as the scans it could save.
 #pragma once
 
 #include "common/rng.h"

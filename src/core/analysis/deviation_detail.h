@@ -1,11 +1,11 @@
 // THE single-radio deviation scanner and exact best-response DP — one
 // implementation, shared by GameModel's scans (core/game_model.cpp), the
-// cached dynamics driver (core/alloc/best_response.cpp) and the O(1)
-// benefit helpers (core/analysis/deviation.cpp). The scan order (deploys,
-// then per-source parks and moves), the strict-'>' tie policy and the
-// share() arithmetic are load-bearing: every caller must walk
-// bit-identical trajectories, so they must come from this file and
-// nowhere else.
+// cached dynamics driver (core/alloc/best_response.cpp), the snapshot
+// scanner (core/analysis/snapshot_scan.h) and the O(1) benefit helpers
+// (core/analysis/deviation.cpp). The scan order (deploys, then per-source
+// parks and moves), the strict-'>' tie policy (BestChangePicker) and the
+// share() arithmetic are load-bearing: every caller must walk bit-identical
+// trajectories, so they must come from this file and nowhere else.
 //
 // `RateAt` is any callable `double(ChannelId, RadioCount)` returning the
 // total rate of a channel at a load; `cost` is the per-radio energy price
@@ -20,20 +20,25 @@
 // neighborhood), so every benefit formula generalizes by substituting the
 // accessor and nothing else.
 //
-// Hot-path layout: the scans precompute three contiguous per-channel share
-// arrays (current share, share after adding a radio, share after removing
-// one) in one flat pass over the channels, then enumerate candidates as
-// pure array reads. Each candidate's benefit is assembled with exactly the
-// same expression shape the per-candidate helpers use — same terms, same
-// grouping — so the flat kernels are bit-identical to the scalar path.
-// `scan_single_changes_pruned` additionally restricts the enumeration to
-// candidates touching a caller-proven "dirty" channel set (see
-// UtilityCache::plan_scan); everything it omits was <= tolerance at the
-// user's last completed scan and is unchanged since.
+// Hot-path layout: every scan runs in two steps. Step one fills three
+// contiguous per-channel share arrays (current share, share after adding a
+// radio, share after removing one): fill_scan_kernels prices them for one
+// user at the loads it sees, ShareTable::fill reads them from a table
+// priced once per snapshot (single collision domain). Step two,
+// enumerate_single_changes, is the one place candidates are ordered and
+// their benefits assembled, as pure array reads. Each candidate's benefit
+// uses exactly the same expression shape the per-candidate helpers use —
+// same terms, same grouping — so the flat kernels are bit-identical to the
+// scalar path. `scan_single_changes_pruned` additionally restricts the
+// enumeration to candidates touching a caller-proven "dirty" channel set
+// (see UtilityCache::plan_scan); everything it omits was <= tolerance at
+// the user's last completed scan and is unchanged since.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,14 +94,6 @@ double move_benefit_at(const StrategyMatrix& strategies, UserId user,
   return after - before;
 }
 
-template <typename RateAt>
-double move_benefit_at(const StrategyMatrix& strategies, UserId user,
-                       ChannelId from, ChannelId to, RateAt rate_at) {
-  return move_benefit_at(
-      strategies, user, from, to, rate_at,
-      [&](ChannelId c) { return strategies.channel_load(c); });
-}
-
 /// Deploying one spare radio pays the energy price; a move is cost-neutral.
 template <typename RateAt, typename LoadAt>
 double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
@@ -106,14 +103,6 @@ double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
   const RadioCount load = load_at(channel);
   return share(rate_at(channel, load + 1), own + 1, load + 1) -
          share(rate_at(channel, load), own, load) - cost;
-}
-
-template <typename RateAt>
-double deploy_benefit_at(const StrategyMatrix& strategies, UserId user,
-                         ChannelId channel, RateAt rate_at, double cost) {
-  return deploy_benefit_at(
-      strategies, user, channel, rate_at, cost,
-      [&](ChannelId c) { return strategies.channel_load(c); });
 }
 
 /// Parking one radio refunds the energy price.
@@ -127,42 +116,48 @@ double park_benefit_at(const StrategyMatrix& strategies, UserId user,
          share(rate_at(channel, load), own, load) + cost;
 }
 
-template <typename RateAt>
-double park_benefit_at(const StrategyMatrix& strategies, UserId user,
-                       ChannelId channel, RateAt rate_at, double cost) {
-  return park_benefit_at(
-      strategies, user, channel, rate_at, cost,
-      [&](ChannelId c) { return strategies.channel_load(c); });
+/// A user's three share kernels on one channel: its share at the current
+/// allocation, after adding one radio and after removing one, given
+/// `rate_of(load)`, the channel's total rate at a load. gain_from is only
+/// meaningful (and only ever read) on occupied channels; the guard keeps
+/// rate_of off negative loads for empty ones. gain_to is only read when the
+/// channel can receive one of the user's radios (`receivable`: a spare to
+/// deploy, or a radio on another channel to move); the guard keeps rate_of
+/// off load + 1 on a channel that already carries every radio of the game,
+/// a load no legal change reaches. Every scan's kernels, per-user or
+/// tabulated, come from here.
+struct ShareKernels {
+  double before;
+  double gain_to;
+  double gain_from;
+};
+
+template <typename RateOf>
+inline ShareKernels share_kernels(RadioCount own, RadioCount load,
+                                  bool receivable, RateOf rate_of) {
+  return {share(rate_of(load), own, load),
+          receivable ? share(rate_of(load + 1), own + 1, load + 1) : 0.0,
+          own > 0 ? share(rate_of(load - 1), own - 1, load - 1) : 0.0};
 }
 
 /// Fills the three share kernels for channel `c` from buf.own / buf.load.
-/// gain_from is only meaningful (and only ever read) on occupied channels;
-/// the guard keeps rate_at off negative loads for empty ones. gain_to is
-/// only read when the channel can receive one of the user's radios
-/// (`receivable`: a spare to deploy, or a radio on another channel to
-/// move); the guard keeps rate_at off load + 1 on a channel that already
-/// carries every radio of the game, a load no legal change reaches.
 template <typename RateAt>
 inline void fill_share_kernels(ScanBuffers& buf, ChannelId c, RateAt rate_at,
                                bool receivable) {
-  const RadioCount own = buf.own[c];
-  const RadioCount load = buf.load[c];
-  buf.before[c] = share(rate_at(c, load), own, load);
-  buf.gain_to[c] =
-      receivable ? share(rate_at(c, load + 1), own + 1, load + 1) : 0.0;
-  buf.gain_from[c] =
-      own > 0 ? share(rate_at(c, load - 1), own - 1, load - 1) : 0.0;
+  const ShareKernels kernels =
+      share_kernels(buf.own[c], buf.load[c], receivable,
+                    [&](RadioCount load) { return rate_at(c, load); });
+  buf.before[c] = kernels.before;
+  buf.gain_to[c] = kernels.gain_to;
+  buf.gain_from[c] = kernels.gain_from;
 }
 
-/// Enumerates every single-radio change of `user` — deploys first (only
-/// when `has_spare`), then per-source parks and moves — feeding each
-/// candidate to `consider(SingleChange)`. The enumeration order is part of
-/// the determinism contract.
-template <typename RateAt, typename LoadAt, typename Consider>
-void scan_single_changes(const StrategyMatrix& strategies, UserId user,
-                         RateAt rate_at, double cost, bool has_spare,
-                         LoadAt load_at, ScanBuffers& buf,
-                         Consider&& consider) {
+/// Step one of a per-user scan: fills buf.own, buf.load and the three
+/// share kernels of `user` at the loads `load_at` reports.
+template <typename RateAt, typename LoadAt>
+void fill_scan_kernels(const StrategyMatrix& strategies, UserId user,
+                       RateAt rate_at, bool has_spare, LoadAt load_at,
+                       ScanBuffers& buf) {
   const std::size_t channels = strategies.num_channels();
   buf.resize(channels);
   strategies.copy_row(user, buf.own);
@@ -171,17 +166,103 @@ void scan_single_changes(const StrategyMatrix& strategies, UserId user,
   for (ChannelId c = 0; c < channels; ++c) {
     fill_share_kernels(buf, c, rate_at, has_spare || buf.own[c] < deployed);
   }
+}
+
+/// Snapshot share table for the single collision domain. There every user
+/// sees the same loads, so the three kernels of a channel depend only on
+/// the user's own count there: one build prices each channel once, and a
+/// user's scan then reads its kernels instead of recomputing them. Entries
+/// are own-major (row `own` holds every channel), so a user's kernels are
+/// row 0 patched at its occupied channels. Entries come from share_kernels,
+/// as in a per-user fill; a channel is receivable while its load is below
+/// `total_radios` (a load no legal change exceeds), so a strict rate table
+/// is never read past the game's radios.
+class ShareTable {
+ public:
+  /// Prices every channel at `loads` for own counts 0..max_own. Own counts
+  /// above a channel's load cannot occur and stay zero.
+  template <typename RateAt>
+  void build(std::span<const RadioCount> loads, RadioCount max_own,
+             RadioCount total_radios, RateAt rate_at) {
+    channels_ = loads.size();
+    const std::size_t entries =
+        (static_cast<std::size_t>(max_own) + 1) * channels_;
+    before_.assign(entries, 0.0);
+    gain_to_.assign(entries, 0.0);
+    gain_from_.assign(entries, 0.0);
+    for (ChannelId c = 0; c < channels_; ++c) {
+      // Each rate is read once per channel and served to every own count.
+      const RadioCount load = loads[c];
+      const bool receivable = load < total_radios;
+      const double rate = rate_at(c, load);
+      const double rate_to = receivable ? rate_at(c, load + 1) : 0.0;
+      const double rate_from = load > 0 ? rate_at(c, load - 1) : 0.0;
+      const auto rate_of = [&](RadioCount at_load) {
+        return at_load == load ? rate : at_load > load ? rate_to : rate_from;
+      };
+      const RadioCount top = std::min(max_own, load);
+      for (RadioCount own = 0; own <= top; ++own) {
+        const ShareKernels kernels =
+            share_kernels(own, load, receivable, rate_of);
+        const std::size_t at = static_cast<std::size_t>(own) * channels_ + c;
+        before_[at] = kernels.before;
+        gain_to_[at] = kernels.gain_to;
+        gain_from_[at] = kernels.gain_from;
+      }
+    }
+  }
+
+  /// Step one of a table-fed scan: fills buf.own and the three share
+  /// kernels of `user` (buf.load is not needed and left as is).
+  void fill(const StrategyMatrix& strategies, UserId user,
+            ScanBuffers& buf) const {
+    buf.resize(channels_);
+    std::fill(buf.own.begin(), buf.own.end(), 0);
+    std::copy_n(before_.begin(), channels_, buf.before.begin());
+    std::copy_n(gain_to_.begin(), channels_, buf.gain_to.begin());
+    std::copy_n(gain_from_.begin(), channels_, buf.gain_from.begin());
+    strategies.for_each_row_entry(user, [&](ChannelId c, RadioCount own) {
+      const std::size_t at = static_cast<std::size_t>(own) * channels_ + c;
+      buf.own[c] = own;
+      buf.before[c] = before_[at];
+      buf.gain_to[c] = gain_to_[at];
+      buf.gain_from[c] = gain_from_[at];
+    });
+  }
+
+ private:
+  std::size_t channels_ = 0;
+  std::vector<double> before_;
+  std::vector<double> gain_to_;
+  std::vector<double> gain_from_;
+};
+
+/// Step two of every scan: enumerates `user`'s single-radio changes from
+/// the filled kernels in buf — deploys onto `targets` first (only when
+/// `has_spare`), then per occupied source channel its park (when
+/// `with_parks`) and its moves onto `targets` — feeding each candidate to
+/// `consider(SingleChange)`. `targets` is every channel for a full scan
+/// and the dirty set for a pruned one. This is the only place candidates
+/// are ordered and their benefits assembled; the enumeration order is part
+/// of the determinism contract.
+template <typename Targets, typename Consider>
+void enumerate_single_changes(UserId user, double cost, bool has_spare,
+                              bool with_parks, const ScanBuffers& buf,
+                              const Targets& targets, Consider&& consider) {
   if (has_spare) {
-    for (ChannelId to = 0; to < channels; ++to) {
+    for (const ChannelId to : targets) {
       consider(SingleChange{SingleChange::Kind::kDeploy, user, /*from=*/0, to,
                             buf.gain_to[to] - buf.before[to] - cost});
     }
   }
+  const std::size_t channels = buf.own.size();
   for (ChannelId from = 0; from < channels; ++from) {
     if (buf.own[from] <= 0) continue;
-    consider(SingleChange{SingleChange::Kind::kPark, user, from, /*to=*/0,
-                          buf.gain_from[from] - buf.before[from] + cost});
-    for (ChannelId to = 0; to < channels; ++to) {
+    if (with_parks) {
+      consider(SingleChange{SingleChange::Kind::kPark, user, from, /*to=*/0,
+                            buf.gain_from[from] - buf.before[from] + cost});
+    }
+    for (const ChannelId to : targets) {
       if (to == from) continue;
       consider(SingleChange{
           SingleChange::Kind::kMove, user, from, to,
@@ -191,22 +272,17 @@ void scan_single_changes(const StrategyMatrix& strategies, UserId user,
   }
 }
 
+/// Enumerates every single-radio change of `user` (fill, then enumerate
+/// over all channels).
 template <typename RateAt, typename LoadAt, typename Consider>
 void scan_single_changes(const StrategyMatrix& strategies, UserId user,
                          RateAt rate_at, double cost, bool has_spare,
-                         LoadAt load_at, Consider&& consider) {
-  ScanBuffers buf;
-  scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
-                      buf, std::forward<Consider>(consider));
-}
-
-template <typename RateAt, typename Consider>
-void scan_single_changes(const StrategyMatrix& strategies, UserId user,
-                         RateAt rate_at, double cost, bool has_spare,
+                         LoadAt load_at, ScanBuffers& buf,
                          Consider&& consider) {
-  scan_single_changes(
-      strategies, user, rate_at, cost, has_spare,
-      [&](ChannelId c) { return strategies.channel_load(c); },
+  fill_scan_kernels(strategies, user, rate_at, has_spare, load_at, buf);
+  enumerate_single_changes(
+      user, cost, has_spare, /*with_parks=*/true, buf,
+      std::views::iota(ChannelId{0}, strategies.num_channels()),
       std::forward<Consider>(consider));
 }
 
@@ -250,24 +326,24 @@ void scan_single_changes_pruned(const StrategyMatrix& strategies, UserId user,
     buf.load[c] = load_at(c);
     fill_share_kernels(buf, c, rate_at, /*receivable=*/false);
   }
-  if (has_spare) {
-    for (const ChannelId to : dirty) {
-      consider(SingleChange{SingleChange::Kind::kDeploy, user, /*from=*/0, to,
-                            buf.gain_to[to] - buf.before[to] - cost});
-    }
-  }
   // Parks are skipped outright: a clean source channel's park benefit is
   // unchanged and was <= tolerance.
-  for (ChannelId from = 0; from < channels; ++from) {
-    if (buf.own[from] <= 0) continue;
-    for (const ChannelId to : dirty) {
-      consider(SingleChange{
-          SingleChange::Kind::kMove, user, from, to,
-          (buf.gain_from[from] + buf.gain_to[to]) -
-              (buf.before[from] + buf.before[to])});
-    }
-  }
+  enumerate_single_changes(user, cost, has_spare, /*with_parks=*/false, buf,
+                           dirty, std::forward<Consider>(consider));
 }
+
+/// The tie rule every best-single-change search applies: the first
+/// candidate, in enumeration order, with the strictly largest benefit
+/// above `tolerance`.
+struct BestChangePicker {
+  double tolerance;
+  std::optional<SingleChange> best;
+
+  void operator()(const SingleChange& candidate) {
+    if (candidate.benefit <= tolerance) return;
+    if (!best || candidate.benefit > best->benefit) best = candidate;
+  }
+};
 
 template <typename RateAt, typename LoadAt>
 std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
@@ -275,15 +351,10 @@ std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,
                                                RateAt rate_at, double cost,
                                                bool has_spare, LoadAt load_at,
                                                ScanBuffers& buf) {
-  std::optional<SingleChange> best;
+  BestChangePicker picker{tolerance, std::nullopt};
   scan_single_changes(strategies, user, rate_at, cost, has_spare, load_at,
-                      buf, [&](const SingleChange& candidate) {
-                        if (candidate.benefit <= tolerance) return;
-                        if (!best || candidate.benefit > best->benefit) {
-                          best = candidate;
-                        }
-                      });
-  return best;
+                      buf, picker);
+  return picker.best;
 }
 
 template <typename RateAt, typename LoadAt>
@@ -313,16 +384,10 @@ std::optional<SingleChange> best_single_change_pruned(
     const StrategyMatrix& strategies, UserId user, double tolerance,
     RateAt rate_at, double cost, bool has_spare, LoadAt load_at,
     std::span<const ChannelId> dirty, ScanBuffers& buf) {
-  std::optional<SingleChange> best;
+  BestChangePicker picker{tolerance, std::nullopt};
   scan_single_changes_pruned(strategies, user, rate_at, cost, has_spare,
-                             load_at, dirty, buf,
-                             [&](const SingleChange& candidate) {
-                               if (candidate.benefit <= tolerance) return;
-                               if (!best || candidate.benefit > best->benefit) {
-                                 best = candidate;
-                               }
-                             });
-  return best;
+                             load_at, dirty, buf, picker);
+  return picker.best;
 }
 
 template <typename RateAt, typename LoadAt>

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 
+#include "core/analysis/snapshot_scan.h"
+
 namespace mrca {
 
 bool is_single_move_stable(const GameModel& model,
                            const StrategyMatrix& strategies,
                            double tolerance) {
-  for (UserId user = 0; user < strategies.num_users(); ++user) {
-    if (model.best_single_change(strategies, user, tolerance)) return false;
-  }
-  return true;
+  return SnapshotScanner(model, strategies, tolerance).stable();
 }
 
 bool is_nash_equilibrium(const GameModel& model,

@@ -3,7 +3,9 @@
 // Three layers of rigor:
 //   1. check_theorem1 (lemmas.h) — the paper's printed predicate, O(N*C^2).
 //   2. is_single_move_stable — no user can gain by relocating, deploying or
-//      parking ONE radio. O(N*C^2) with O(1) incremental benefits.
+//      parking ONE radio. O(N*C*k) through one SnapshotScanner, which
+//      prices each channel once for the whole matrix (plus each user's
+//      neighborhood loads under a topology).
 //   3. is_nash_equilibrium — no user can gain by ANY unilateral strategy
 //      change (Definition 1), via the exact best-response DP. O(N*C*k^2).
 // Layer 3 implies layer 2. The test suite quantifies agreement between all

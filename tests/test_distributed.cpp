@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
 #include "core/alloc/random_alloc.h"
 #include "core/analysis/nash.h"
+#include "engine/scenario.h"
+#include "engine/sweep.h"
 #include "test_util.h"
 
 namespace mrca {
@@ -135,6 +138,101 @@ INSTANTIATE_TEST_SUITE_P(
                           std::make_shared<PowerLawRate>(1.0, 1.0)),
         ::testing::Values(0.1, 0.3, 0.6),
         ::testing::Values(101u, 202u)));
+
+/// The protocol's trajectory on small cells of every scenario kind, pinned:
+/// a change to the round loop, the scan or the commit order that moves any
+/// decision shows up as a different round count, move count or final
+/// allocation. The `dcf` rows run a strict DCF table from the crowded
+/// start (every radio on channel 0, the table's largest load); the others
+/// run an 8-user, 4-channel, 2-radio power-law cell from a random partial
+/// allocation drawn from the run's own seed.
+struct GoldenRun {
+  const char* scenario;
+  double probability;
+  std::uint64_t seed;
+  bool converged;
+  std::size_t rounds;
+  std::size_t total_moves;
+  const char* final_key;
+};
+
+DistributedResult run_golden(const GoldenRun& golden) {
+  DistributedOptions options;
+  options.activation_probability = golden.probability;
+  options.max_rounds = 300;
+  Rng rng(golden.seed);
+  if (std::string(golden.scenario) == "dcf") {
+    const GameConfig config(6, 3, 1);
+    const GameModel model(config, engine::RateSpec::parse("dcf").make(
+                                      config.total_radios()));
+    StrategyMatrix crowded = model.empty_strategy();
+    for (UserId user = 0; user < config.num_users; ++user) {
+      crowded.add_radio(user, 0);
+    }
+    return run_distributed_allocation(model, crowded, options, rng);
+  }
+  const GameModel model =
+      engine::ScenarioSpec::parse(golden.scenario)
+          .make_model(8, 4, 2, std::make_shared<PowerLawRate>(1.0, 0.5));
+  const StrategyMatrix start = random_partial_allocation(model, rng);
+  return run_distributed_allocation(model, start, options, rng);
+}
+
+TEST(DistributedGolden, TrajectoriesOnEveryScenarioKind) {
+  const GoldenRun runs[] = {
+      {"base", 0.05, 11, true, 207, 13,
+       "0,0,1,1|0,0,1,1|1,1,0,0|1,1,0,0|1,0,0,1|0,1,0,1|1,0,1,0|0,1,1,0"},
+      {"base", 0.3, 23, true, 8, 11,
+       "1,1,0,0|0,1,0,1|0,1,1,0|1,0,1,0|0,0,1,1|1,1,0,0|1,0,0,1|0,0,1,1"},
+      {"base", 1.0, 37, false, 300, 2400,
+       "1,0,1,0|1,0,0,1|1,0,1,0|1,0,1,0|1,0,1,0|1,0,1,0|1,0,0,1|1,0,0,1"},
+      {"energy=0.3", 0.05, 11, true, 31, 7,
+       "0,0,1,1|0,0,1,0|0,0,0,0|1,0,0,0|0,0,0,0|0,1,0,1|1,0,0,0|0,1,0,0"},
+      {"energy=0.3", 0.3, 23, true, 8, 6,
+       "1,1,0,0|0,0,0,0|0,0,0,0|0,0,0,0|0,0,1,1|1,1,0,0|0,0,0,0|0,0,1,1"},
+      {"energy=0.3", 1.0, 37, false, 300, 2400,
+       "1,0,0,0|1,0,0,0|1,1,0,0|1,1,0,0|1,0,0,0|1,0,0,0|1,0,0,1|1,0,0,0"},
+      {"het=2:1", 0.05, 11, true, 207, 14,
+       "1,1,0,0|1,0,1,0|1,0,0,1|1,0,1,0|0,1,0,1|0,0,1,1|1,0,1,0|0,1,1,0"},
+      {"het=2:1", 0.3, 23, true, 8, 12,
+       "1,1,0,0|0,1,0,1|0,1,1,0|1,0,1,0|0,0,1,1|1,0,1,0|1,0,1,0|1,0,0,1"},
+      {"het=2:1", 1.0, 37, false, 300, 2400,
+       "1,1,0,0|1,0,0,1|1,1,0,0|1,1,0,0|1,1,0,0|1,1,0,0|1,0,0,1|1,0,0,1"},
+      {"budgets=1:3", 0.05, 11, true, 207, 14,
+       "1,0,0,0|0,1,1,1|0,0,0,1|1,1,1,0|1,0,0,0|0,1,1,1|0,0,1,0|1,1,0,1"},
+      {"budgets=1:3", 0.3, 23, true, 19, 16,
+       "0,0,1,0|1,1,1,0|0,0,0,1|1,1,1,0|0,0,0,1|1,0,1,1|0,1,0,0|1,1,0,1"},
+      {"budgets=1:3", 1.0, 37, false, 300, 2396,
+       "1,0,0,0|1,1,0,1|1,0,0,0|1,1,0,1|1,0,0,0|1,1,0,1|1,0,0,0|1,1,0,1"},
+      {"weights=2:1", 0.05, 11, true, 207, 13,
+       "0,0,1,1|0,0,1,1|1,1,0,0|1,1,0,0|1,0,0,1|0,1,0,1|1,0,1,0|0,1,1,0"},
+      {"weights=2:1", 0.3, 23, true, 8, 11,
+       "1,1,0,0|0,1,0,1|0,1,1,0|1,0,1,0|0,0,1,1|1,1,0,0|1,0,0,1|0,0,1,1"},
+      {"weights=2:1", 1.0, 37, false, 300, 2400,
+       "1,0,1,0|1,0,0,1|1,0,1,0|1,0,1,0|1,0,1,0|1,0,1,0|1,0,0,1|1,0,0,1"},
+      {"topology=ring:2", 0.05, 11, true, 207, 14,
+       "0,1,0,1|0,1,0,1|1,0,1,0|1,1,0,0|0,0,1,1|0,1,0,1|1,1,0,0|1,0,1,0"},
+      {"topology=ring:2", 0.3, 23, true, 13, 13,
+       "0,1,1,0|1,0,0,1|1,1,0,0|0,1,1,0|0,0,1,1|1,1,0,0|1,1,0,0|0,0,1,1"},
+      {"topology=ring:2", 1.0, 37, false, 300, 2400,
+       "0,1,1,0|0,1,0,1|0,1,0,1|0,1,1,0|0,1,1,0|0,1,1,0|0,1,0,1|0,1,0,1"},
+      {"dcf", 0.05, 11, true, 55, 4,
+       "0,0,1|1,0,0|0,1,0|1,0,0|0,1,0|0,0,1"},
+      {"dcf", 0.3, 23, true, 3, 5,
+       "1,0,0|1,0,0|0,1,0|0,1,0|0,0,1|0,0,1"},
+      {"dcf", 1.0, 37, false, 300, 1800,
+       "1,0,0|1,0,0|1,0,0|1,0,0|1,0,0|1,0,0"},
+  };
+  for (const GoldenRun& golden : runs) {
+    SCOPED_TRACE(std::string(golden.scenario) + " p=" +
+                 std::to_string(golden.probability));
+    const DistributedResult result = run_golden(golden);
+    EXPECT_EQ(result.converged, golden.converged);
+    EXPECT_EQ(result.rounds, golden.rounds);
+    EXPECT_EQ(result.total_moves, golden.total_moves);
+    EXPECT_EQ(result.final_state.key(), golden.final_key);
+  }
+}
 
 }  // namespace
 }  // namespace mrca
