@@ -373,42 +373,6 @@ SessionStats run_session(const SweepPlan& plan, RunSink& sink,
   return run_session(plan, std::vector<RunSink*>{&sink}, options);
 }
 
-void merge_cell_results(CellResult& into, const CellResult& from) {
-  if (!(into.cell == from.cell)) {
-    throw std::invalid_argument(
-        "merge_cell_results: aggregates describe different cells");
-  }
-  if (into.metric_stats.size() != from.metric_stats.size()) {
-    throw std::invalid_argument(
-        "merge_cell_results: metric column counts differ");
-  }
-  into.runs += from.runs;
-  into.converged += from.converged;
-  into.activations.merge(from.activations);
-  into.improving_steps.merge(from.improving_steps);
-  into.scan_skips.merge(from.scan_skips);
-  into.reprice_touches.merge(from.reprice_touches);
-  into.welfare.merge(from.welfare);
-  into.efficiency.merge(from.efficiency);
-  into.anarchy_ratio.merge(from.anarchy_ratio);
-  into.fairness.merge(from.fairness);
-  into.load_imbalance.merge(from.load_imbalance);
-  into.deployed.merge(from.deployed);
-  into.per_radio_spread.merge(from.per_radio_spread);
-  into.budget_fairness.merge(from.budget_fairness);
-  into.coloring_bound.merge(from.coloring_bound);
-  into.max_degree.merge(from.max_degree);
-  into.graph_efficiency.merge(from.graph_efficiency);
-  for (std::size_t m = 0; m < into.metric_stats.size(); ++m) {
-    into.metric_stats[m].merge(from.metric_stats[m]);
-  }
-  into.sim_runs += from.sim_runs;
-  into.sim_total_bps.merge(from.sim_total_bps);
-  into.sim_gap.merge(from.sim_gap);
-  into.sim_fairness.merge(from.sim_fairness);
-  into.sim_imbalance.merge(from.sim_imbalance);
-}
-
 SweepResult merge_sweep_results(const std::vector<SweepResult>& shards) {
   if (shards.empty()) {
     throw std::invalid_argument("merge_sweep_results: no shards");

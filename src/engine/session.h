@@ -25,10 +25,7 @@
 //
 // The shard-merge path closes the loop: merge_sweep_results recombines
 // shard aggregates into the exact SweepResult a non-sharded run would have
-// produced (byte-identical through every writer), and merge_cell_results
-// is the general per-cell fold (Chan-style RunningStats merge) for
-// aggregates of the SAME cell built from disjoint replicate subsets —
-// the primitive a future replicate-level partition plugs into.
+// produced (byte-identical through every writer).
 #pragma once
 
 #include <cstdint>
@@ -150,6 +147,79 @@ struct RunRecord {
   std::vector<SimTierOutcome> sim;
 };
 
+/// The fixed columns, declared once. The aggregating and JSONL sinks, the
+/// CSV and JSON writers and sweep_from_json loop over these two lists and
+/// name no column themselves. Adding a fixed column takes one member in
+/// RunRecord, one in CellResult, one entry below and its fill in run_one.
+/// The per-cell counters `runs`, `converged` and `sim_runs` print as
+/// integers and are not list entries.
+///
+/// One NaN policy for every column: a NaN value means "undefined here" and
+/// the aggregate skips it, so count() reports coverage. In CSV an empty run
+/// aggregate prints nan; an empty sim aggregate prints its mean, 0 (the
+/// spec has no sim tier).
+///
+/// CSV: each column prints <stem>_mean, then the extra statistics its
+/// `csv_extras` bits select, always in the order stddev, min, max.
+enum CsvExtra : unsigned { kCsvStddev = 1u, kCsvMin = 2u, kCsvMax = 4u };
+
+struct RunColumn {
+  /// The JSONL and JSON key, and the CSV stem unless `csv_stem` is set.
+  const char* name;
+  double RunRecord::*value;
+  RunningStats CellResult::*stats;
+  unsigned csv_extras = 0;
+  const char* csv_stem = nullptr;
+};
+
+struct SimColumn {
+  /// The key of one replay's value in a JSONL row's "sim" array.
+  const char* key;
+  double SimTierOutcome::*value;
+  /// The aggregate's JSON key and CSV stem.
+  const char* name;
+  RunningStats CellResult::*stats;
+  unsigned csv_extras = 0;
+};
+
+inline constexpr RunColumn kRunColumns[] = {
+    {"activations", &RunRecord::activations, &CellResult::activations,
+     kCsvStddev},
+    {"improving_steps", &RunRecord::improving_steps,
+     &CellResult::improving_steps, 0, "improving"},
+    {"scan_skips", &RunRecord::scan_skips, &CellResult::scan_skips},
+    {"reprice_touches", &RunRecord::reprice_touches,
+     &CellResult::reprice_touches},
+    {"welfare", &RunRecord::welfare, &CellResult::welfare,
+     kCsvMin | kCsvMax},
+    {"efficiency", &RunRecord::efficiency, &CellResult::efficiency},
+    {"anarchy_ratio", &RunRecord::anarchy_ratio, &CellResult::anarchy_ratio},
+    {"fairness", &RunRecord::fairness, &CellResult::fairness},
+    {"load_imbalance", &RunRecord::load_imbalance,
+     &CellResult::load_imbalance},
+    {"deployed", &RunRecord::deployed, &CellResult::deployed},
+    {"per_radio_spread", &RunRecord::per_radio_spread,
+     &CellResult::per_radio_spread},
+    {"budget_fairness", &RunRecord::budget_fairness,
+     &CellResult::budget_fairness},
+    {"coloring_bound", &RunRecord::coloring_bound,
+     &CellResult::coloring_bound},
+    {"max_degree", &RunRecord::max_degree, &CellResult::max_degree},
+    {"graph_efficiency", &RunRecord::graph_efficiency,
+     &CellResult::graph_efficiency},
+};
+
+inline constexpr SimColumn kSimColumns[] = {
+    {"total_bps", &SimTierOutcome::total_bps, "sim_total_bps",
+     &CellResult::sim_total_bps},
+    {"gap", &SimTierOutcome::throughput_gap, "sim_gap", &CellResult::sim_gap,
+     kCsvMax},
+    {"fairness", &SimTierOutcome::fairness, "sim_fairness",
+     &CellResult::sim_fairness},
+    {"imbalance", &SimTierOutcome::channel_imbalance, "sim_imbalance",
+     &CellResult::sim_imbalance},
+};
+
 /// Streaming consumer of finished runs. run_session guarantees:
 ///   - begin() once, before any task executes;
 ///   - consume() exactly once per task, IN TASK ORDER (cell-major,
@@ -194,13 +264,6 @@ SessionStats run_session(const SweepPlan& plan,
                          const SessionOptions& options = {});
 SessionStats run_session(const SweepPlan& plan, RunSink& sink,
                          const SessionOptions& options = {});
-
-/// Folds `from` into `into`: two partial aggregates of the SAME cell built
-/// from disjoint run subsets become the aggregate of the union. Counts and
-/// extrema are exact; means/variances merge Chan-style (equal to a single
-/// pass up to floating-point reassociation). Throws std::invalid_argument
-/// when the two sides describe different cells or metric arities.
-void merge_cell_results(CellResult& into, const CellResult& from);
 
 /// Recombines shard results into the single SweepResult the full run would
 /// have produced — byte-identical through every writer, because disjoint

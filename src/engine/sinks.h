@@ -22,8 +22,8 @@
 
 namespace mrca::engine {
 
-/// Folds records into per-cell aggregates exactly as the monolithic
-/// run_sweep did (same add() order, same NaN-skipping), emitting each
+/// Folds records into per-cell aggregates in task order, skipping NaN
+/// values (the column lists' policy, engine/session.h), emitting each
 /// CellResult as its last replicate arrives — peak state is ONE open cell,
 /// not the whole run matrix.
 class AggregatingSink final : public RunSink {
@@ -59,6 +59,10 @@ class RecordSink final : public RunSink {
  private:
   std::ostream* out_;
   std::vector<std::string> metric_columns_;
+  /// Each fixed column's JSON key with its leading separator, quoted once
+  /// per session rather than once per row.
+  std::vector<std::string> run_keys_;
+  std::vector<std::string> sim_keys_;
   std::size_t records_ = 0;
 };
 

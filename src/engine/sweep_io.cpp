@@ -12,6 +12,7 @@
 
 #include "common/json.h"
 #include "common/table.h"
+#include "engine/session.h"
 
 namespace mrca::engine {
 namespace {
@@ -33,9 +34,8 @@ void append_stats_json(std::ostringstream& out, const char* key,
       << ",\"mean\":" << json_number(stats.mean())
       << ",\"stddev\":" << json_number(stats.stddev())
       << ",\"m2\":" << json_number(stats.m2())
-      << ",\"min\":" << json_number(stats.empty() ? 0.0 : stats.min())
-      << ",\"max\":" << json_number(stats.empty() ? 0.0 : stats.max())
-      << '}';
+      << ",\"min\":" << json_number(stats.min())
+      << ",\"max\":" << json_number(stats.max()) << '}';
 }
 
 }  // namespace
@@ -78,12 +78,39 @@ SweepFormat parse_sweep_format(const std::string& text) {
   throw std::invalid_argument("unknown sweep format '" + text + "'");
 }
 
+void write_cell_coordinates_json(std::ostream& out,
+                                 const SweepSpec::Cell& cell) {
+  out << ",\"users\":" << cell.users << ",\"channels\":" << cell.channels
+      << ",\"radios\":" << cell.radios << ",\"rate\":\""
+      << json_escape(cell.rate.name()) << "\",\"scenario\":\""
+      << json_escape(cell.scenario.name()) << "\",\"dynamics\":\""
+      << json_escape(cell.dynamics.name()) << "\",\"granularity\":\""
+      << to_string(cell.granularity) << "\",\"order\":\""
+      << to_string(cell.order) << "\",\"start\":\"" << to_string(cell.start)
+      << '"';
+}
+
 namespace {
 
-/// Mean of a stat whose samples can ALL be NaN-skipped (efficiency /
-/// anarchy_ratio when the optimum is unknown, every welfare non-positive):
-/// an empty aggregate prints nan — "no defined sample", never a fabricated
-/// perfect-zero efficiency.
+void append_csv_header(std::ostringstream& out, const char* stem,
+                       unsigned extras) {
+  out << ',' << stem << "_mean";
+  if (extras & kCsvStddev) out << ',' << stem << "_stddev";
+  if (extras & kCsvMin) out << ',' << stem << "_min";
+  if (extras & kCsvMax) out << ',' << stem << "_max";
+}
+
+void append_csv_stats(std::ostringstream& out, double mean,
+                      const RunningStats& stats, unsigned extras) {
+  out << ',' << full_precision(mean);
+  if (extras & kCsvStddev) out << ',' << full_precision(stats.stddev());
+  if (extras & kCsvMin) out << ',' << full_precision(stats.min());
+  if (extras & kCsvMax) out << ',' << full_precision(stats.max());
+}
+
+/// Mean of a stat whose samples can ALL be NaN-skipped (efficiency when the
+/// optimum is unknown, a metric undefined on every run): an empty aggregate
+/// prints nan, "no defined sample", never a fabricated 0.
 double skippable_mean(const RunningStats& stats) {
   return stats.empty() ? std::numeric_limits<double>::quiet_NaN()
                        : stats.mean();
@@ -94,15 +121,15 @@ double skippable_mean(const RunningStats& stats) {
 std::string sweep_to_csv(const SweepResult& result) {
   std::ostringstream out;
   out << "cell,users,channels,radios,rate,scenario,dynamics,granularity,"
-         "order,start,"
-         "runs,converged,activations_mean,activations_stddev,improving_mean,"
-         "scan_skips_mean,reprice_touches_mean,"
-         "welfare_mean,welfare_min,welfare_max,efficiency_mean,"
-         "anarchy_ratio_mean,fairness_mean,load_imbalance_mean,"
-         "deployed_mean,per_radio_spread_mean,budget_fairness_mean,"
-         "coloring_bound_mean,max_degree_mean,graph_efficiency_mean,"
-         "sim_runs,sim_total_bps_mean,sim_gap_mean,sim_gap_max,"
-         "sim_fairness_mean,sim_imbalance_mean";
+         "order,start,runs,converged";
+  for (const RunColumn& column : kRunColumns) {
+    append_csv_header(out, column.csv_stem ? column.csv_stem : column.name,
+                      column.csv_extras);
+  }
+  out << ",sim_runs";
+  for (const SimColumn& column : kSimColumns) {
+    append_csv_header(out, column.name, column.csv_extras);
+  }
   // Dynamic metric block: <column>_mean and <column>_count per registered
   // metric column (the count exposes how many runs had a defined value).
   for (const std::string& column : result.metric_columns) {
@@ -117,39 +144,19 @@ std::string sweep_to_csv(const SweepResult& result) {
         << to_string(cell.cell.granularity)
         << ',' << to_string(cell.cell.order) << ','
         << to_string(cell.cell.start) << ',' << cell.runs << ','
-        << cell.converged << ',' << full_precision(cell.activations.mean())
-        << ',' << full_precision(cell.activations.stddev()) << ','
-        << full_precision(cell.improving_steps.mean()) << ','
-        << full_precision(cell.scan_skips.mean()) << ','
-        << full_precision(cell.reprice_touches.mean()) << ','
-        << full_precision(cell.welfare.mean()) << ','
-        << full_precision(cell.welfare.empty() ? 0.0 : cell.welfare.min())
-        << ','
-        << full_precision(cell.welfare.empty() ? 0.0 : cell.welfare.max())
-        << ',' << full_precision(skippable_mean(cell.efficiency)) << ','
-        << full_precision(skippable_mean(cell.anarchy_ratio)) << ','
-        << full_precision(cell.fairness.mean()) << ','
-        << full_precision(cell.load_imbalance.mean()) << ','
-        << full_precision(cell.deployed.mean()) << ','
-        << full_precision(cell.per_radio_spread.mean()) << ','
-        << full_precision(cell.budget_fairness.mean()) << ','
-        << full_precision(skippable_mean(cell.coloring_bound)) << ','
-        << full_precision(skippable_mean(cell.max_degree)) << ','
-        << full_precision(skippable_mean(cell.graph_efficiency)) << ','
-        << cell.sim_runs << ','
-        << full_precision(cell.sim_total_bps.mean()) << ','
-        << full_precision(cell.sim_gap.mean()) << ','
-        << full_precision(cell.sim_gap.empty() ? 0.0 : cell.sim_gap.max())
-        << ',' << full_precision(cell.sim_fairness.mean()) << ','
-        << full_precision(cell.sim_imbalance.mean());
+        << cell.converged;
+    for (const RunColumn& column : kRunColumns) {
+      const RunningStats& stats = cell.*column.stats;
+      append_csv_stats(out, skippable_mean(stats), stats, column.csv_extras);
+    }
+    out << ',' << cell.sim_runs;
+    for (const SimColumn& column : kSimColumns) {
+      const RunningStats& stats = cell.*column.stats;
+      append_csv_stats(out, stats.mean(), stats, column.csv_extras);
+    }
     for (const RunningStats& stats : cell.metric_stats) {
-      // An all-NaN column (metric undefined on every run of the cell)
-      // prints nan, never a fabricated 0.
-      out << ','
-          << full_precision(stats.empty()
-                                ? std::numeric_limits<double>::quiet_NaN()
-                                : stats.mean())
-          << ',' << stats.count();
+      out << ',' << full_precision(skippable_mean(stats)) << ','
+          << stats.count();
     }
     out << '\n';
   }
@@ -172,54 +179,18 @@ std::string sweep_to_json(const SweepResult& result) {
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const CellResult& cell = result.cells[i];
     if (i) out << ',';
-    out << "{\"cell\":" << cell.cell.index
-        << ",\"users\":" << cell.cell.users
-        << ",\"channels\":" << cell.cell.channels
-        << ",\"radios\":" << cell.cell.radios << ",\"rate\":\""
-        << json_escape(cell.cell.rate.name()) << "\",\"scenario\":\""
-        << json_escape(cell.cell.scenario.name()) << "\",\"dynamics\":\""
-        << json_escape(cell.cell.dynamics.name()) << "\",\"granularity\":\""
-        << to_string(cell.cell.granularity) << "\",\"order\":\""
-        << to_string(cell.cell.order) << "\",\"start\":\""
-        << to_string(cell.cell.start) << "\",\"runs\":" << cell.runs
-        << ",\"converged\":" << cell.converged << ',';
-    append_stats_json(out, "activations", cell.activations);
-    out << ',';
-    append_stats_json(out, "improving_steps", cell.improving_steps);
-    out << ',';
-    append_stats_json(out, "scan_skips", cell.scan_skips);
-    out << ',';
-    append_stats_json(out, "reprice_touches", cell.reprice_touches);
-    out << ',';
-    append_stats_json(out, "welfare", cell.welfare);
-    out << ',';
-    append_stats_json(out, "efficiency", cell.efficiency);
-    out << ',';
-    append_stats_json(out, "anarchy_ratio", cell.anarchy_ratio);
-    out << ',';
-    append_stats_json(out, "fairness", cell.fairness);
-    out << ',';
-    append_stats_json(out, "load_imbalance", cell.load_imbalance);
-    out << ',';
-    append_stats_json(out, "deployed", cell.deployed);
-    out << ',';
-    append_stats_json(out, "per_radio_spread", cell.per_radio_spread);
-    out << ',';
-    append_stats_json(out, "budget_fairness", cell.budget_fairness);
-    out << ',';
-    append_stats_json(out, "coloring_bound", cell.coloring_bound);
-    out << ',';
-    append_stats_json(out, "max_degree", cell.max_degree);
-    out << ',';
-    append_stats_json(out, "graph_efficiency", cell.graph_efficiency);
-    out << ",\"sim_runs\":" << cell.sim_runs << ',';
-    append_stats_json(out, "sim_total_bps", cell.sim_total_bps);
-    out << ',';
-    append_stats_json(out, "sim_gap", cell.sim_gap);
-    out << ',';
-    append_stats_json(out, "sim_fairness", cell.sim_fairness);
-    out << ',';
-    append_stats_json(out, "sim_imbalance", cell.sim_imbalance);
+    out << "{\"cell\":" << cell.cell.index;
+    write_cell_coordinates_json(out, cell.cell);
+    out << ",\"runs\":" << cell.runs << ",\"converged\":" << cell.converged;
+    for (const RunColumn& column : kRunColumns) {
+      out << ',';
+      append_stats_json(out, column.name, cell.*column.stats);
+    }
+    out << ",\"sim_runs\":" << cell.sim_runs;
+    for (const SimColumn& column : kSimColumns) {
+      out << ',';
+      append_stats_json(out, column.name, cell.*column.stats);
+    }
     if (!result.metric_columns.empty()) {
       out << ",\"metrics\":{";
       for (std::size_t m = 0; m < result.metric_columns.size(); ++m) {
@@ -351,6 +322,15 @@ const std::string& as_string(const JsonValue& value, const char* what) {
   return value.string;
 }
 
+const std::vector<JsonValue>& as_array(const JsonValue& value,
+                                       const char* what) {
+  if (value.kind != JsonValue::Kind::kArray) {
+    throw std::invalid_argument("sweep_from_json: '" + std::string(what) +
+                                "' is not an array");
+  }
+  return value.array;
+}
+
 RunningStats stats_from_json(const JsonValue& value, const char* what) {
   if (value.kind != JsonValue::Kind::kObject) {
     throw std::invalid_argument("sweep_from_json: stats '" +
@@ -375,12 +355,17 @@ SweepResult sweep_from_json(const std::string& text) {
   result.cells_total = as_count(spec.at("cells_total"), "cells_total");
   result.cell_begin = as_count(spec.at("cell_begin"), "cell_begin");
   result.cell_end = as_count(spec.at("cell_end"), "cell_end");
-  for (const JsonValue& column : spec.at("metric_columns").array) {
+  for (const JsonValue& column :
+       as_array(spec.at("metric_columns"), "metric_columns")) {
     result.metric_columns.push_back(as_string(column, "metric_columns"));
   }
   result.total_runs = as_count(root.at("total_runs"), "total_runs");
 
-  for (const JsonValue& cell_json : root.at("cells").array) {
+  for (const JsonValue& cell_json : as_array(root.at("cells"), "cells")) {
+    if (cell_json.kind != JsonValue::Kind::kObject) {
+      throw std::invalid_argument(
+          "sweep_from_json: 'cells' entry is not an object");
+    }
     CellResult cell;
     cell.cell.index = as_count(cell_json.at("cell"), "cell");
     cell.cell.users = as_count(cell_json.at("users"), "users");
@@ -400,41 +385,15 @@ SweepResult sweep_from_json(const std::string& text) {
         parse_sweep_start(as_string(cell_json.at("start"), "start"));
     cell.runs = as_count(cell_json.at("runs"), "runs");
     cell.converged = as_count(cell_json.at("converged"), "converged");
-    cell.activations = stats_from_json(cell_json.at("activations"),
-                                       "activations");
-    cell.improving_steps =
-        stats_from_json(cell_json.at("improving_steps"), "improving_steps");
-    cell.scan_skips =
-        stats_from_json(cell_json.at("scan_skips"), "scan_skips");
-    cell.reprice_touches =
-        stats_from_json(cell_json.at("reprice_touches"), "reprice_touches");
-    cell.welfare = stats_from_json(cell_json.at("welfare"), "welfare");
-    cell.efficiency =
-        stats_from_json(cell_json.at("efficiency"), "efficiency");
-    cell.anarchy_ratio =
-        stats_from_json(cell_json.at("anarchy_ratio"), "anarchy_ratio");
-    cell.fairness = stats_from_json(cell_json.at("fairness"), "fairness");
-    cell.load_imbalance =
-        stats_from_json(cell_json.at("load_imbalance"), "load_imbalance");
-    cell.deployed = stats_from_json(cell_json.at("deployed"), "deployed");
-    cell.per_radio_spread = stats_from_json(cell_json.at("per_radio_spread"),
-                                            "per_radio_spread");
-    cell.budget_fairness = stats_from_json(cell_json.at("budget_fairness"),
-                                           "budget_fairness");
-    cell.coloring_bound = stats_from_json(cell_json.at("coloring_bound"),
-                                          "coloring_bound");
-    cell.max_degree = stats_from_json(cell_json.at("max_degree"),
-                                      "max_degree");
-    cell.graph_efficiency = stats_from_json(cell_json.at("graph_efficiency"),
-                                            "graph_efficiency");
+    for (const RunColumn& column : kRunColumns) {
+      cell.*column.stats =
+          stats_from_json(cell_json.at(column.name), column.name);
+    }
     cell.sim_runs = as_count(cell_json.at("sim_runs"), "sim_runs");
-    cell.sim_total_bps =
-        stats_from_json(cell_json.at("sim_total_bps"), "sim_total_bps");
-    cell.sim_gap = stats_from_json(cell_json.at("sim_gap"), "sim_gap");
-    cell.sim_fairness =
-        stats_from_json(cell_json.at("sim_fairness"), "sim_fairness");
-    cell.sim_imbalance =
-        stats_from_json(cell_json.at("sim_imbalance"), "sim_imbalance");
+    for (const SimColumn& column : kSimColumns) {
+      cell.*column.stats =
+          stats_from_json(cell_json.at(column.name), column.name);
+    }
     if (!result.metric_columns.empty()) {
       const JsonValue& metrics = cell_json.at("metrics");
       for (const std::string& column : result.metric_columns) {

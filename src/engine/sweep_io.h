@@ -31,6 +31,12 @@ std::string json_escape(const std::string& text);
 /// values, "null" for inf/nan (JSON has no non-finite literals).
 std::string json_number(double value);
 
+/// Writes the cell's coordinates as JSON members, ,"users":N through
+/// ,"start":"..", each after a comma: the shared block of a JSON document's
+/// cell and a JSONL record row.
+void write_cell_coordinates_json(std::ostream& out,
+                                 const SweepSpec::Cell& cell);
+
 std::string sweep_to_csv(const SweepResult& result);
 std::string sweep_to_json(const SweepResult& result);
 /// Human-readable aligned table (common/table).

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "cli_harness.h"
 #include "strict_json.h"
@@ -517,6 +519,45 @@ TEST(CliGoldenText, SingleGameCommandsAreByteIdentical) {
     const CliResult result = run_cli(golden.args);
     EXPECT_EQ(result.exit_code, golden.exit_code);
     EXPECT_EQ(result.output, golden.output);
+  }
+}
+
+// Byte lock on the sweep writers: CSV, JSON, table and the --records JSONL
+// of one sweep covering every scenario kind, every dynamics engine, the
+// full metric set and the DCF sim tier. The files under tests/golden/sweep
+// were captured from the binary before the writers moved to the shared
+// column list; 8 cells there have an all-NaN efficiency and 4 carry the
+// topology columns.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CliGoldenText, SweepWritersAreByteIdentical) {
+  const std::string golden = MRCA_SWEEP_GOLDEN_DIR;
+  const std::string sweep =
+      "sweep --users 4 --channels 4 --radios 2 --rates dcf "
+      "--scenario \"base;energy=0.2;het=2:1;budgets=1:3;weights=2:1;"
+      "topology=ring:1\" --dynamics best_response,log_linear:0.2:0.01,"
+      "trial_error:0.3,distributed:0.3 --metrics nash,single_move,theorem1,"
+      "poa,welfare_eff,pareto,fairness,convergence,distributed,regret,"
+      "occupancy_entropy --sim dcf --sim-seconds 0.05 --replicates 2 "
+      "--seed 7";
+  const std::string records =
+      ::testing::TempDir() + "mrca_cli_golden_records.jsonl";
+  for (const auto& [format, file] :
+       {std::pair{"csv", "sweep.csv"}, std::pair{"json", "sweep.json"},
+        std::pair{"table", "sweep.txt"}}) {
+    SCOPED_TRACE(format);
+    const CliResult result = run_cli(sweep + " --format " + format +
+                                     " --records " + records);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    const std::string expected = read_file(golden + "/" + file);
+    ASSERT_FALSE(expected.empty()) << golden << "/" << file;
+    EXPECT_EQ(result.output, expected);
+    EXPECT_EQ(read_file(records), read_file(golden + "/records.jsonl"));
   }
 }
 

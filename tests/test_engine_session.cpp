@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_harness.h"
@@ -145,18 +147,37 @@ TEST(SweepSession, ShardMergeIsByteIdenticalToLegacyRunSweep) {
   }
 }
 
+/// Topology and weighted cells (all-NaN efficiency, null stats in JSON)
+/// plus a DCF sim tier: every column kind the writers print.
+SweepSpec null_stats_spec() {
+  SweepSpec spec;
+  spec.users = {4};
+  spec.channels = {3};
+  spec.radios = {2};
+  spec.rates = {RateSpec::parse("dcf")};
+  spec.scenarios = {ScenarioSpec::parse("topology=ring:1"),
+                    ScenarioSpec::parse("weights=2:1")};
+  engine::SimTierSpec tier;
+  tier.duration_s = 0.05;
+  spec.sim_tier = tier;
+  spec.replicates = 2;
+  spec.base_seed = 9;
+  return spec;
+}
+
 TEST(SweepSession, JsonDocumentRoundTripsThroughSweepFromJson) {
-  const SweepSpec spec = session_spec();
-  const SweepResult result = engine::run_sweep(spec);
-  const std::string json = engine::sweep_to_json(result);
-  const SweepResult parsed = engine::sweep_from_json(json);
-  EXPECT_EQ(parsed.spec_fingerprint, spec.fingerprint());
-  EXPECT_EQ(parsed.total_runs, result.total_runs);
-  ASSERT_EQ(parsed.cells.size(), result.cells.size());
-  // Byte-identical re-serialization: every count, mean, m2 and extremum
-  // was restored exactly (CSV exercises stddev/min/max reprinting too).
-  EXPECT_EQ(engine::sweep_to_json(parsed), json);
-  EXPECT_EQ(engine::sweep_to_csv(parsed), engine::sweep_to_csv(result));
+  for (const SweepSpec& spec : {session_spec(), null_stats_spec()}) {
+    const SweepResult result = engine::run_sweep(spec);
+    const std::string json = engine::sweep_to_json(result);
+    const SweepResult parsed = engine::sweep_from_json(json);
+    EXPECT_EQ(parsed.spec_fingerprint, spec.fingerprint());
+    EXPECT_EQ(parsed.total_runs, result.total_runs);
+    ASSERT_EQ(parsed.cells.size(), result.cells.size());
+    // Byte-identical re-serialization: every count, mean, m2 and extremum
+    // was restored exactly (CSV exercises stddev/min/max reprinting too).
+    EXPECT_EQ(engine::sweep_to_json(parsed), json);
+    EXPECT_EQ(engine::sweep_to_csv(parsed), engine::sweep_to_csv(result));
+  }
   EXPECT_THROW(engine::sweep_from_json("{\"not\":\"a sweep\"}"),
                std::invalid_argument);
   EXPECT_THROW(engine::sweep_from_json("nonsense"), std::invalid_argument);
@@ -164,6 +185,35 @@ TEST(SweepSession, JsonDocumentRoundTripsThroughSweepFromJson) {
   // -> CLI exit 2), never recursed into until the stack dies.
   EXPECT_THROW(engine::sweep_from_json(std::string(200000, '[')),
                std::invalid_argument);
+}
+
+TEST(SweepSession, SweepFromJsonRejectsMalformedShape) {
+  // A non-array metric_columns or cells, or a non-object cell entry, is a
+  // foreign document: rejected naming the field, never read as empty.
+  const std::string json =
+      engine::sweep_to_json(engine::run_sweep(session_spec()));
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string text = json;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  for (const auto& [text, field] :
+       {std::pair{replaced("\"metric_columns\":[",
+                           "\"metric_columns\":\"nash_ne\",\"x\":["),
+                  "'metric_columns'"},
+        std::pair{replaced("\"cells\":[{", "\"cells\":7,\"x\":[{"),
+                  "'cells' is not an array"},
+        std::pair{replaced("\"cells\":[{", "\"cells\":[7,{"),
+                  "'cells' entry"}}) {
+    try {
+      engine::sweep_from_json(text);
+      ADD_FAILURE() << "accepted a malformed " << field;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(SweepSession, AllSkippedEfficiencyPrintsNanNeverZero) {
@@ -302,37 +352,53 @@ TEST(SweepSession, ProgressSinkDrawsAndTerminatesItsLine) {
   EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(MergeCellResults, FoldsPartialAggregatesOfOneCell) {
-  // The general per-cell fold: aggregates built from disjoint run subsets
-  // merge into the aggregate of the union (Chan merge: counts/extrema
-  // exact, moments equal up to reassociation).
-  CellResult whole;
-  CellResult part_a = whole;
-  CellResult part_b = whole;
-  const std::vector<double> samples = {1.0, 4.0, -2.0, 8.5, 3.25};
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    whole.welfare.add(samples[i]);
-    whole.activations.add(static_cast<double>(i));
-    ++whole.runs;
-    CellResult& part = i < 2 ? part_a : part_b;
-    part.welfare.add(samples[i]);
-    part.activations.add(static_cast<double>(i));
-    ++part.runs;
+TEST(AggregatingSink, EveryColumnSkipsNanSamples) {
+  // One NaN policy for the whole column list: for each run and sim column,
+  // a NaN sample in one of two runs is left out of count() and the mean
+  // stays that of the defined sample.
+  SweepSpec spec;
+  spec.users = {3};
+  spec.channels = {3};
+  spec.radios = {1};
+  spec.replicates = 2;
+  const SweepPlan plan = SweepPlan::build(spec);
+  const auto aggregate_pair = [&](auto poison) {
+    std::vector<RunRecord> pair(2);
+    for (std::size_t r = 0; r < pair.size(); ++r) {
+      pair[r].cell = plan.cells()[0];
+      pair[r].replicate = r;
+      for (const engine::RunColumn& column : engine::kRunColumns) {
+        pair[r].*column.value = 1.0 + static_cast<double>(r);
+      }
+      pair[r].sim.resize(1);
+      for (const engine::SimColumn& column : engine::kSimColumns) {
+        pair[r].sim[0].*column.value = 1.0 + static_cast<double>(r);
+      }
+    }
+    poison(pair[1]);
+    AggregatingSink sink;
+    sink.begin(plan);
+    for (const RunRecord& record : pair) sink.consume(record);
+    sink.finish();
+    return std::move(sink).take_result().cells.at(0);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const engine::RunColumn& column : engine::kRunColumns) {
+    SCOPED_TRACE(column.name);
+    const CellResult cell =
+        aggregate_pair([&](RunRecord& record) { record.*column.value = kNaN; });
+    EXPECT_EQ(cell.runs, 2u);
+    EXPECT_EQ((cell.*column.stats).count(), 1u);
+    EXPECT_EQ((cell.*column.stats).mean(), 1.0);
   }
-  engine::merge_cell_results(part_a, part_b);
-  EXPECT_EQ(part_a.runs, whole.runs);
-  EXPECT_EQ(part_a.welfare.count(), whole.welfare.count());
-  EXPECT_EQ(part_a.welfare.min(), whole.welfare.min());
-  EXPECT_EQ(part_a.welfare.max(), whole.welfare.max());
-  EXPECT_NEAR(part_a.welfare.mean(), whole.welfare.mean(), 1e-12);
-  EXPECT_NEAR(part_a.welfare.stddev(), whole.welfare.stddev(), 1e-12);
-  EXPECT_NEAR(part_a.activations.mean(), whole.activations.mean(), 1e-12);
-
-  // Different cells refuse to fold.
-  CellResult other = whole;
-  other.cell.index = 7;
-  EXPECT_THROW(engine::merge_cell_results(part_a, other),
-               std::invalid_argument);
+  for (const engine::SimColumn& column : engine::kSimColumns) {
+    SCOPED_TRACE(column.name);
+    const CellResult cell = aggregate_pair(
+        [&](RunRecord& record) { record.sim[0].*column.value = kNaN; });
+    EXPECT_EQ(cell.sim_runs, 2u);
+    EXPECT_EQ((cell.*column.stats).count(), 1u);
+    EXPECT_EQ((cell.*column.stats).mean(), 1.0);
+  }
 }
 
 TEST(RunningStatsState, FromStateInvertsSerialization) {
@@ -407,6 +473,24 @@ TEST(CliMerge, RejectsMismatchedSpecsWithExit2) {
   const std::string junk = write_temp("junk", "{\"hello\":1}");
   const CliResult bad = run_cli("merge " + junk + " " + path_a);
   EXPECT_EQ(bad.exit_code, 2);
+}
+
+TEST(CliMerge, RejectsANonArrayMetricColumnsWithExit2) {
+  // Reading the field as an empty list would merge exit 0 and silently
+  // drop every metric column from the output.
+  const CliResult full = run_cli(std::string(kShardArgs));
+  ASSERT_EQ(full.exit_code, 0);
+  std::string text = full.output;
+  const std::string columns = "\"metric_columns\":[\"nash_ne\"]";
+  const std::size_t at = text.find(columns);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, columns.size(), "\"metric_columns\":\"nash_ne\"");
+  const CliResult merged =
+      run_cli("merge " + write_temp("scalar_columns", text));
+  EXPECT_EQ(merged.exit_code, 2);
+  EXPECT_NE(merged.output.find("'metric_columns' is not an array"),
+            std::string::npos)
+      << merged.output;
 }
 
 }  // namespace
