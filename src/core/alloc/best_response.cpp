@@ -11,7 +11,7 @@
 namespace mrca {
 namespace {
 
-/// Per-run scratch for the pruned cached path: the flat scan kernels and
+/// Per-run scratch for the cached path: the flat scan kernels and
 /// the dirty-channel list are reused across millions of activations with
 /// zero per-activation allocation.
 struct ScanScratch {
@@ -19,61 +19,41 @@ struct ScanScratch {
   std::vector<ChannelId> dirty;
 };
 
-void apply_change(StrategyMatrix& strategies, const SingleChange& change,
-                  UtilityCache* cache) {
-  switch (change.kind) {
-    case SingleChange::Kind::kMove:
-      if (cache) {
-        cache->move_radio(strategies, change.user, change.from, change.to);
-      } else {
-        strategies.move_radio(change.user, change.from, change.to);
-      }
-      break;
-    case SingleChange::Kind::kDeploy:
-      if (cache) {
-        cache->add_radio(strategies, change.user, change.to);
-      } else {
-        strategies.add_radio(change.user, change.to);
-      }
-      break;
-    case SingleChange::Kind::kPark:
-      if (cache) {
-        cache->remove_radio(strategies, change.user, change.from);
-      } else {
-        strategies.remove_radio(change.user, change.from);
-      }
-      break;
-  }
-}
-
-/// The pruned cached activation. plan_scan has already ruled out kSkip;
-/// single-move granularities scan through the cache's O(1) tracked loads
-/// (identical values to the model's accessors, so identical candidates),
-/// narrowed to the dirty channels when the plan allows. Best-response
-/// granularity has no partial DP — any dirty channel means a full oracle
-/// run — so it only benefits from kSkip, which is where the per-user DP
-/// cost actually lives at scale.
-bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
+/// The cached activation, pruned or not: with pruning off plan_scan
+/// always answers kFull and note_scan records nothing. Single-move
+/// granularities scan through the cache's O(1) tracked loads (identical
+/// values to the model's accessors, so identical candidates), narrowed to
+/// the dirty channels when the plan allows. Best-response granularity has
+/// no partial DP — any dirty channel means a full oracle run — so it only
+/// benefits from kSkip, which is where the per-user DP cost actually lives
+/// at scale. Returns true if the allocation changed.
+bool activate_cached(const GameModel& model, StrategyMatrix& strategies,
                      UserId user, const DynamicsOptions& options, Rng* rng,
-                     UtilityCache& cache, UtilityCache::ScanPlan plan,
-                     ScanScratch& scratch) {
+                     UtilityCache& cache, ScanScratch& scratch) {
+  const UtilityCache::ScanPlan plan = cache.plan_scan(user, scratch.dirty);
+  if (plan == UtilityCache::ScanPlan::kSkip) {
+    // Proven no-op: the user's last completed scan found nothing above
+    // tolerance and nothing it saw has changed since. No Rng is drawn —
+    // the full scan's improving set would be empty too.
+    return false;
+  }
   const auto rate_at = [&](ChannelId c, RadioCount load) {
     return model.rate(c, load);
   };
   const auto load_at = [&](ChannelId c) { return cache.load_seen(user, c); };
   const bool partial = plan == UtilityCache::ScanPlan::kDirtyChannels;
+  const bool has_spare = strategies.user_total(user) < model.budget(user);
+  bool changed = false;
   switch (options.granularity) {
     case ResponseGranularity::kBestResponse: {
-      const double current = cache.utility(user);
+      // Raw units on both sides (cache tracks raw; the DP is weight-free):
+      // weighted models walk bit-identical trajectories to the base game.
       BestResponse response = model.best_response(strategies, user);
-      const bool improved = response.utility > current + options.tolerance;
-      if (improved) cache.set_row(strategies, user, response.strategy);
-      cache.note_scan(user, improved);
-      return improved;
+      changed = response.utility > cache.utility(user) + options.tolerance;
+      if (changed) cache.set_row(strategies, user, response.strategy);
+      break;
     }
     case ResponseGranularity::kBestSingleMove: {
-      const bool has_spare =
-          strategies.user_total(user) < model.budget(user);
       const auto change =
           partial ? detail::best_single_change_pruned(
                         strategies, user, options.tolerance, rate_at,
@@ -83,16 +63,14 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
                         strategies, user, options.tolerance, rate_at,
                         model.radio_cost(), has_spare, load_at,
                         scratch.buffers);
-      if (change) apply_change(strategies, *change, &cache);
-      cache.note_scan(user, change.has_value());
-      return change.has_value();
+      changed = change.has_value();
+      if (changed) cache.apply(strategies, *change);
+      break;
     }
     case ResponseGranularity::kRandomImprovingMove: {
       // A pruned scan lists EXACTLY the candidates above tolerance the
       // full scan would, in the same order — so the uniform draw below
       // sees the same set and consumes the same Rng stream.
-      const bool has_spare =
-          strategies.user_total(user) < model.budget(user);
       const std::vector<SingleChange> improving =
           partial ? detail::improving_changes_pruned(
                         strategies, user, options.tolerance, rate_at,
@@ -102,58 +80,36 @@ bool activate_pruned(const GameModel& model, StrategyMatrix& strategies,
                         strategies, user, options.tolerance, rate_at,
                         model.radio_cost(), has_spare, load_at,
                         scratch.buffers);
-      if (improving.empty()) {
-        cache.note_scan(user, false);
-        return false;
+      changed = !improving.empty();
+      if (changed) {
+        cache.apply(strategies, improving[rng->index(improving.size())]);
       }
-      apply_change(strategies, improving[rng->index(improving.size())],
-                   &cache);
-      cache.note_scan(user, true);
-      return true;
+      break;
     }
   }
-  throw std::logic_error("run_response_dynamics: unknown granularity");
+  cache.note_scan(user, changed);
+  return changed;
 }
 
-/// Applies the user's response; returns true if the allocation changed.
-/// `cache` is null on the full-recompute path; `prune` routes through the
-/// dirty-channel plan (bit-identical results, see activate_pruned).
-bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
-              const DynamicsOptions& options, Rng* rng, UtilityCache* cache,
-              bool prune, ScanScratch& scratch) {
-  if (prune) {
-    const UtilityCache::ScanPlan plan = cache->plan_scan(user, scratch.dirty);
-    if (plan == UtilityCache::ScanPlan::kSkip) {
-      // Proven no-op: the user's last completed scan found nothing above
-      // tolerance and nothing it saw has changed since. No Rng is drawn —
-      // the full scan's improving set would be empty too.
-      return false;
-    }
-    return activate_pruned(model, strategies, user, options, rng, *cache,
-                           plan, scratch);
-  }
+/// The full-recompute reference activation: reads only the model's
+/// accessors and mutates the matrix directly. Returns true if the
+/// allocation changed.
+bool activate_uncached(const GameModel& model, StrategyMatrix& strategies,
+                       UserId user, const DynamicsOptions& options,
+                       Rng* rng) {
   switch (options.granularity) {
     case ResponseGranularity::kBestResponse: {
-      // Raw units on both sides (cache tracks raw; the DP is weight-free):
-      // weighted models walk bit-identical trajectories to the base game.
-      const double current =
-          cache ? cache->utility(user) : model.raw_utility(strategies, user);
+      const double current = model.raw_utility(strategies, user);
       BestResponse response = model.best_response(strategies, user);
-      if (response.utility > current + options.tolerance) {
-        if (cache) {
-          cache->set_row(strategies, user, response.strategy);
-        } else {
-          strategies.set_row(user, response.strategy);
-        }
-        return true;
-      }
-      return false;
+      if (!(response.utility > current + options.tolerance)) return false;
+      strategies.set_row(user, response.strategy);
+      return true;
     }
     case ResponseGranularity::kBestSingleMove: {
       const auto change =
           model.best_single_change(strategies, user, options.tolerance);
       if (!change) return false;
-      apply_change(strategies, *change, cache);
+      apply_change(strategies, *change);
       return true;
     }
     case ResponseGranularity::kRandomImprovingMove: {
@@ -161,25 +117,21 @@ bool activate(const GameModel& model, StrategyMatrix& strategies, UserId user,
           model.improving_changes_for_user(strategies, user,
                                            options.tolerance);
       if (improving.empty()) return false;
-      apply_change(strategies, improving[rng->index(improving.size())], cache);
+      apply_change(strategies, improving[rng->index(improving.size())]);
       return true;
     }
   }
   throw std::logic_error("run_response_dynamics: unknown granularity");
 }
 
-/// The run's activation budget: max_passes (in units of full passes over
-/// the users) wins over the absolute max_activations when set, saturating
-/// instead of overflowing.
-std::size_t activation_budget(const DynamicsOptions& options,
-                              std::size_t users) {
-  if (options.max_passes == 0) return options.max_activations;
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-  if (options.max_passes > kMax / users) return kMax;
-  return options.max_passes * users;
-}
-
 }  // namespace
+
+std::size_t DynamicsOptions::activation_budget(std::size_t users) const {
+  if (max_passes == 0) return max_activations;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (max_passes > kMax / users) return kMax;
+  return max_passes * users;
+}
 
 DynamicsResult run_response_dynamics(const GameModel& model,
                                      const StrategyMatrix& start,
@@ -196,25 +148,41 @@ DynamicsResult run_response_dynamics(const GameModel& model,
   DynamicsResult result{false, 0, 0, start, {}, 0, 0};
   StrategyMatrix& state = result.final_state;
   std::optional<UtilityCache> cache;
-  if (options.use_incremental_cache) cache.emplace(model, state);
-  UtilityCache* cache_ptr = cache ? &*cache : nullptr;
-  const bool prune =
-      options.use_dirty_channel_pruning && cache_ptr != nullptr;
-  if (prune) cache_ptr->enable_scan_pruning();
+  if (options.use_incremental_cache) {
+    cache.emplace(model, state);
+    if (options.use_dirty_channel_pruning) cache->enable_scan_pruning();
+  }
   ScanScratch scratch;
   const auto current_welfare = [&] {
     // Raw welfare on both paths: the trace measures the spectrum's
     // throughput economy, not the operator's valuation of it.
-    return cache_ptr ? cache_ptr->welfare() : model.raw_welfare(state);
+    return cache ? cache->welfare() : model.raw_welfare(state);
   };
   if (options.record_welfare_trace) {
     result.welfare_trace.push_back(current_welfare());
   }
+  // One counted activation of `user`; true if the allocation changed.
+  const auto step = [&](UserId user) {
+    ++result.activations;
+    const bool changed =
+        cache ? activate_cached(model, state, user, options, rng, *cache,
+                                scratch)
+              : activate_uncached(model, state, user, options, rng);
+    if (changed) {
+      ++result.improving_steps;
+      if (options.record_welfare_trace) {
+        result.welfare_trace.push_back(current_welfare());
+      }
+    }
+    return changed;
+  };
 
   // A streak of `users` quiet activations triggers an exact verification
   // pass over every user; convergence is declared only when that pass finds
   // no improvement, so `converged` is a proof for both activation orders.
-  const std::size_t budget = activation_budget(options, users);
+  // The pass spends the same budget: one the budget cuts short proves
+  // nothing.
+  const std::size_t budget = options.activation_budget(users);
   std::size_t quiet_streak = 0;
   UserId next_user = 0;
   while (result.activations < budget) {
@@ -222,14 +190,8 @@ DynamicsResult run_response_dynamics(const GameModel& model,
                             ? next_user
                             : static_cast<UserId>(rng->index(users));
     next_user = (next_user + 1) % users;
-    ++result.activations;
-    if (activate(model, state, user, options, rng, cache_ptr, prune,
-                 scratch)) {
-      ++result.improving_steps;
+    if (step(user)) {
       quiet_streak = 0;
-      if (options.record_welfare_trace) {
-        result.welfare_trace.push_back(current_welfare());
-      }
       continue;
     }
     ++quiet_streak;
@@ -239,29 +201,20 @@ DynamicsResult run_response_dynamics(const GameModel& model,
       result.converged = true;
       break;
     }
-
-    bool any_improvement = false;
-    for (UserId verify = 0; verify < users; ++verify) {
-      ++result.activations;
-      if (activate(model, state, verify, options, rng, cache_ptr, prune,
-                   scratch)) {
-        any_improvement = true;
-        ++result.improving_steps;
-        if (options.record_welfare_trace) {
-          result.welfare_trace.push_back(current_welfare());
-        }
-        break;
-      }
+    UserId verified = 0;
+    while (verified < users && result.activations < budget &&
+           !step(verified)) {
+      ++verified;
     }
-    if (!any_improvement) {
+    if (verified == users) {
       result.converged = true;
       break;
     }
     quiet_streak = 0;
   }
-  if (cache_ptr) {
-    result.scan_skips = cache_ptr->scan_skips();
-    result.reprice_touches = cache_ptr->reprice_touches();
+  if (cache) {
+    result.scan_skips = cache->scan_skips();
+    result.reprice_touches = cache->reprice_touches();
   }
   result.final_welfare = current_welfare();
   return result;

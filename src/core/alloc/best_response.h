@@ -37,7 +37,10 @@ enum class ActivationOrder { kRoundRobin, kUniformRandom };
 struct DynamicsOptions {
   ResponseGranularity granularity = ResponseGranularity::kBestResponse;
   ActivationOrder order = ActivationOrder::kRoundRobin;
-  /// Give up after this many user activations without convergence.
+  /// Give up after this many user activations without convergence. A hard
+  /// cap: the random-order verification pass counts against it too, and a
+  /// pass the cap cuts short proves nothing (the run reports not
+  /// converged).
   std::size_t max_activations = 100000;
   /// When nonzero, the activation budget becomes max_passes * |N| instead
   /// of max_activations (saturating at SIZE_MAX, so a huge pass count
@@ -49,6 +52,9 @@ struct DynamicsOptions {
   double tolerance = kUtilityTolerance;
   /// Record welfare after every improving step (for convergence plots).
   bool record_welfare_trace = false;
+  // The two switches below are read only by run_response_dynamics: they
+  // select its full-recompute reference path and its A/B variants. Every
+  // other engine always runs through a UtilityCache.
   /// Maintain utilities/welfare incrementally through a UtilityCache and
   /// memoized rate lookups (O(changed channels) per activation) instead of
   /// recomputing them from the full matrix. Same trajectories, much faster;
@@ -62,6 +68,11 @@ struct DynamicsOptions {
   /// reproduces the full-scan path for A/B benchmarks.
   /// DynamicsResult::scan_skips is the operation-count witness.
   bool use_dirty_channel_pruning = true;
+
+  /// The run's activation budget over `users` players: max_passes (in
+  /// units of full passes over the users) wins over max_activations when
+  /// set, saturating instead of overflowing.
+  std::size_t activation_budget(std::size_t users) const;
 };
 
 struct DynamicsResult {

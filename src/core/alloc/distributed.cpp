@@ -46,17 +46,7 @@ DistributedResult run_distributed_allocation(const GameModel& model,
     // is always applicable: it only touches the planning user's own radios,
     // within their own budget (a deploy is only proposed with a spare).
     for (const SingleChange& change : planned) {
-      switch (change.kind) {
-        case SingleChange::Kind::kMove:
-          state.move_radio(change.user, change.from, change.to);
-          break;
-        case SingleChange::Kind::kDeploy:
-          state.add_radio(change.user, change.to);
-          break;
-        case SingleChange::Kind::kPark:
-          state.remove_radio(change.user, change.from);
-          break;
-      }
+      apply_change(state, change);
       ++result.total_moves;
     }
     scanner.bind(state);

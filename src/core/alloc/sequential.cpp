@@ -27,11 +27,10 @@ ChannelId pick(const std::vector<ChannelId>& candidates, TieBreak tie_break,
   throw std::logic_error("sequential allocator: unknown tie break");
 }
 
-/// The Algorithm 1 placement rule: it reads only the matrix, so one
-/// implementation serves every scenario.
-ChannelId place_one_radio_rule(StrategyMatrix& strategies, UserId user,
-                               TieBreak tie_break, Rng* rng,
-                               UtilityCache* cache) {
+/// The Algorithm 1 placement rule's candidate channels: it reads only the
+/// matrix, so one implementation serves every scenario.
+std::vector<ChannelId> least_loaded_channels(const StrategyMatrix& strategies,
+                                             UserId user) {
   const std::size_t channels = strategies.num_channels();
   const RadioCount min_load = strategies.min_load();
   const RadioCount max_load = strategies.max_load();
@@ -61,23 +60,14 @@ ChannelId place_one_radio_rule(StrategyMatrix& strategies, UserId user,
     }
     if (!unused_minima.empty()) candidates = std::move(unused_minima);
   }
-
-  const ChannelId chosen = pick(candidates, tie_break, rng);
-  if (cache) {
-    cache->add_radio(strategies, user, chosen);
-  } else {
-    strategies.add_radio(user, chosen);
-  }
-  return chosen;
+  return candidates;
 }
 
-/// Greedy marginal placement: the channel where one more of `user`'s radios
-/// gains the largest utility share (ties to the lowest index / the rng,
-/// like every other placement decision).
-ChannelId place_one_radio_marginal(const GameModel& model,
-                                   StrategyMatrix& strategies, UserId user,
-                                   TieBreak tie_break, Rng* rng,
-                                   UtilityCache* cache) {
+/// Greedy marginal placement's candidate channels: those where one more of
+/// `user`'s radios gains the largest utility share.
+std::vector<ChannelId> best_marginal_channels(const GameModel& model,
+                                              const StrategyMatrix& strategies,
+                                              UserId user) {
   const std::size_t channels = strategies.num_channels();
   std::vector<ChannelId> candidates;
   double best_marginal = -1.0;
@@ -100,7 +90,21 @@ ChannelId place_one_radio_marginal(const GameModel& model,
       candidates.push_back(c);
     }
   }
-  const ChannelId chosen = pick(candidates, tie_break, rng);
+  return candidates;
+}
+
+/// Places one radio of `user` by `placement`: the rule names the candidate
+/// channels, the tie-break picks one (lowest index or the Rng, like every
+/// other placement decision), and the radio goes in through the cache when
+/// there is one.
+ChannelId place(const GameModel& model, StrategyMatrix& strategies,
+                UserId user, TieBreak tie_break, Rng* rng, UtilityCache* cache,
+                PlacementRule placement) {
+  const ChannelId chosen =
+      pick(placement == PlacementRule::kLeastLoaded
+               ? least_loaded_channels(strategies, user)
+               : best_marginal_channels(model, strategies, user),
+           tie_break, rng);
   if (cache) {
     cache->add_radio(strategies, user, chosen);
   } else {
@@ -148,14 +152,7 @@ ChannelId place_one_radio(const GameModel& model, StrategyMatrix& strategies,
         " already deploys their full budget of " +
         std::to_string(model.budget(user)));
   }
-  switch (placement) {
-    case PlacementRule::kLeastLoaded:
-      return place_one_radio_rule(strategies, user, tie_break, rng, cache);
-    case PlacementRule::kBestMarginal:
-      return place_one_radio_marginal(model, strategies, user, tie_break, rng,
-                                      cache);
-  }
-  throw std::logic_error("place_one_radio: unknown placement rule");
+  return place(model, strategies, user, tie_break, rng, cache, placement);
 }
 
 void allocate_user_sequentially(const GameModel& model,
@@ -169,15 +166,7 @@ void allocate_user_sequentially(const GameModel& model,
   }
   const RadioCount k = model.budget(user);
   for (RadioCount j = 0; j < k; ++j) {
-    switch (placement) {
-      case PlacementRule::kLeastLoaded:
-        place_one_radio_rule(strategies, user, tie_break, rng, cache);
-        break;
-      case PlacementRule::kBestMarginal:
-        place_one_radio_marginal(model, strategies, user, tie_break, rng,
-                                 cache);
-        break;
-    }
+    place(model, strategies, user, tie_break, rng, cache, placement);
   }
 }
 

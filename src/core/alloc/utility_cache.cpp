@@ -310,6 +310,22 @@ void UtilityCache::set_row(StrategyMatrix& strategies, UserId user,
   strategies.set_row(user, new_row);
 }
 
+void UtilityCache::apply(StrategyMatrix& strategies,
+                         const SingleChange& change) {
+  switch (change.kind) {
+    case SingleChange::Kind::kMove:
+      move_radio(strategies, change.user, change.from, change.to);
+      return;
+    case SingleChange::Kind::kDeploy:
+      add_radio(strategies, change.user, change.to);
+      return;
+    case SingleChange::Kind::kPark:
+      remove_radio(strategies, change.user, change.from);
+      return;
+  }
+  throw std::logic_error("UtilityCache::apply: unknown change kind");
+}
+
 double UtilityCache::max_drift(const StrategyMatrix& strategies) const {
   // The cache tracks RAW values (what dynamics decisions read); weighted
   // models report through GameModel::welfare()/utilities() separately.

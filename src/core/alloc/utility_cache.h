@@ -137,6 +137,8 @@ class UtilityCache {
                   ChannelId to);
   void set_row(StrategyMatrix& strategies, UserId user,
                std::span<const RadioCount> new_row);
+  /// Applies one single-radio change through the matching mutator.
+  void apply(StrategyMatrix& strategies, const SingleChange& change);
 
   /// Recomputes everything from scratch and re-pairs the cache with
   /// `strategies`. O(|N|*|C| + nnz) globally, O(|N|*|C| + nnz*degree)

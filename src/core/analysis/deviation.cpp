@@ -46,6 +46,21 @@ std::string SingleChange::describe() const {
   return out.str();
 }
 
+void apply_change(StrategyMatrix& strategies, const SingleChange& change) {
+  switch (change.kind) {
+    case SingleChange::Kind::kMove:
+      strategies.move_radio(change.user, change.from, change.to);
+      return;
+    case SingleChange::Kind::kDeploy:
+      strategies.add_radio(change.user, change.to);
+      return;
+    case SingleChange::Kind::kPark:
+      strategies.remove_radio(change.user, change.from);
+      return;
+  }
+  throw std::logic_error("apply_change: unknown change kind");
+}
+
 double move_benefit(const GameModel& model, const StrategyMatrix& strategies,
                     const RadioMove& move) {
   model.validate(strategies);

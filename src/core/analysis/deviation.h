@@ -32,6 +32,11 @@ struct SingleChange {
   std::string describe() const;
 };
 
+/// Applies `change` to the matrix as is: no benefit or budget check beyond
+/// the matrix's own. Engines that track utilities apply through
+/// UtilityCache::apply instead.
+void apply_change(StrategyMatrix& strategies, const SingleChange& change);
+
 /// Exact utility change for user `move.user` from moving one radio
 /// from `move.from` to `move.to` (paper eq. (7)), computed in O(1) from the
 /// two affected channels. Requires the user to have a radio on `from`.

@@ -57,16 +57,6 @@ void require_probability(double value, const char* what,
   }
 }
 
-DynamicsResult run_best_response_engine(const DynamicsSpec& /*spec*/,
-                                        const GameModel& model,
-                                        const StrategyMatrix& start,
-                                        const DynamicsOptions& options,
-                                        Rng* rng) {
-  // Verbatim delegation: same cache, same pruning, same Rng stream — a
-  // best_response cell is bit-identical to calling the driver directly.
-  return run_response_dynamics(model, start, options, rng);
-}
-
 DynamicsResult run_distributed_engine(const DynamicsSpec& spec,
                                       const GameModel& model,
                                       const StrategyMatrix& start,
@@ -95,38 +85,6 @@ Rng& require_rng(Rng* rng, const char* engine) {
                                 std::string(engine) + "' requires an Rng");
   }
   return *rng;
-}
-
-std::vector<DynamicsEngine> make_engines() {
-  std::vector<DynamicsEngine> engines;
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kBestResponse, "best_response",
-      run_best_response_engine});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kLogLinear, "log_linear",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_log_linear_dynamics(spec, model, start, options,
-                                       require_rng(rng, "log_linear"));
-      }});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kTrialError, "trial_error",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_trial_error_dynamics(spec, model, start, options,
-                                        require_rng(rng, "trial_error"));
-      }});
-  engines.push_back(DynamicsEngine{
-      DynamicsSpec::Kind::kDistributed, "distributed",
-      [](const DynamicsSpec& spec, const GameModel& model,
-         const StrategyMatrix& start, const DynamicsOptions& options,
-         Rng* rng) {
-        return run_distributed_engine(spec, model, start, options,
-                                      require_rng(rng, "distributed"));
-      }});
-  return engines;
 }
 
 std::string known_engines() {
@@ -235,7 +193,12 @@ std::vector<DynamicsSpec> DynamicsSpec::parse_list(const std::string& text) {
 }
 
 const std::vector<DynamicsEngine>& dynamics_engines() {
-  static const std::vector<DynamicsEngine> engines = make_engines();
+  static const std::vector<DynamicsEngine> engines = {
+      {DynamicsSpec::Kind::kBestResponse, "best_response"},
+      {DynamicsSpec::Kind::kLogLinear, "log_linear"},
+      {DynamicsSpec::Kind::kTrialError, "trial_error"},
+      {DynamicsSpec::Kind::kDistributed, "distributed"},
+  };
   return engines;
 }
 
@@ -257,7 +220,22 @@ const DynamicsEngine& dynamics_engine(const std::string& name) {
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng) {
-  return dynamics_engine(spec.kind).run(spec, model, start, options, rng);
+  switch (spec.kind) {
+    case DynamicsSpec::Kind::kBestResponse:
+      // Verbatim delegation: same cache, same pruning, same Rng stream — a
+      // best_response cell is bit-identical to calling the driver directly.
+      return run_response_dynamics(model, start, options, rng);
+    case DynamicsSpec::Kind::kLogLinear:
+      return run_log_linear_dynamics(spec, model, start, options,
+                                     require_rng(rng, "log_linear"));
+    case DynamicsSpec::Kind::kTrialError:
+      return run_trial_error_dynamics(spec, model, start, options,
+                                      require_rng(rng, "trial_error"));
+    case DynamicsSpec::Kind::kDistributed:
+      return run_distributed_engine(spec, model, start, options,
+                                    require_rng(rng, "distributed"));
+  }
+  throw std::logic_error("run_dynamics: unknown engine kind");
 }
 
 }  // namespace mrca

@@ -39,7 +39,6 @@
 // axis.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,19 +97,12 @@ struct DynamicsSpec {
   friend bool operator==(const DynamicsSpec&, const DynamicsSpec&) = default;
 };
 
-/// One registered engine: a registry name plus the run entry point.
+/// One registered engine: its kind and registry name.
 struct DynamicsEngine {
   DynamicsSpec::Kind kind = DynamicsSpec::Kind::kBestResponse;
   /// Registry/CLI name, e.g. "log_linear" (the spec's options ride in the
   /// DynamicsSpec, not the name).
   std::string name;
-  /// Runs the engine. `rng` may be null only for engine/option
-  /// combinations that draw no randomness (round-robin best_response);
-  /// every other engine throws std::invalid_argument on a null Rng.
-  std::function<DynamicsResult(const DynamicsSpec&, const GameModel&,
-                               const StrategyMatrix&, const DynamicsOptions&,
-                               Rng*)>
-      run;
 };
 
 /// The engine registry, in Kind order (mirrors MetricSet::builtins()).
@@ -122,14 +114,18 @@ const DynamicsEngine& dynamics_engine(DynamicsSpec::Kind kind);
 const DynamicsEngine& dynamics_engine(const std::string& name);
 
 /// Dispatches one run to the spec's engine. This is the sweep session's
-/// single entry point into the portfolio.
+/// single entry point into the portfolio. `rng` may be null only for
+/// engine/option combinations that draw no randomness (round-robin
+/// best_response); every other engine throws std::invalid_argument on a
+/// null Rng.
 DynamicsResult run_dynamics(const DynamicsSpec& spec, const GameModel& model,
                             const StrategyMatrix& start,
                             const DynamicsOptions& options, Rng* rng);
 
-/// The two learners, exposed for direct tests and benches (run_dynamics is
-/// the normal entry point). Both honor DynamicsOptions' activation budget,
-/// tolerance, welfare trace and incremental-cache switches.
+/// The two learners (learners.cpp), exposed for direct tests and benches
+/// (run_dynamics is the normal entry point). Both honor DynamicsOptions'
+/// activation budget, tolerance and welfare trace, and always run through
+/// a UtilityCache.
 DynamicsResult run_log_linear_dynamics(const DynamicsSpec& spec,
                                        const GameModel& model,
                                        const StrategyMatrix& start,

@@ -13,7 +13,6 @@
 #include "common/stats.h"
 #include "core/alloc/random_alloc.h"
 #include "core/alloc/sequential.h"
-#include "core/alloc/utility_cache.h"
 #include "core/analysis/efficiency.h"
 #include "core/analysis/metrics.h"
 #include "core/dynamics/engine.h"
@@ -32,17 +31,9 @@ StrategyMatrix make_start(const GameModel& model, SweepStart start,
       return random_full_allocation(model, rng);
     case SweepStart::kRandomPartial:
       return random_partial_allocation(model, rng);
-    case SweepStart::kSequentialNe: {
-      // Thread the utility cache through Algorithm 1 (cheap here, but this
-      // is the same path the incremental engine API exposes to users).
-      StrategyMatrix strategies = model.empty_strategy();
-      UtilityCache cache(model, strategies);
-      for (UserId user = 0; user < model.config().num_users; ++user) {
-        allocate_user_sequentially(model, strategies, user,
-                                   TieBreak::kLowestIndex, &rng, &cache);
-      }
-      return strategies;
-    }
+    case SweepStart::kSequentialNe:
+      // Algorithm 1 with lowest-index ties: draws nothing from `rng`.
+      return sequential_allocation(model);
   }
   throw std::logic_error("run_session: unknown start kind");
 }

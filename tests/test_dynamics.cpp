@@ -118,6 +118,37 @@ TEST(Dynamics, RandomActivationSeedDeterminism) {
   EXPECT_EQ(result_a.activations, result_b.activations);
 }
 
+TEST(Dynamics, RandomOrderVerificationPassStaysWithinTheCap) {
+  // max_activations is a hard cap: the random-order verification pass
+  // spends the same budget, and a pass the cap cuts short proves nothing,
+  // so every run that claims convergence must really be stable.
+  const GameModel game = power_law_game(16, 4, 2);
+  for (const ResponseGranularity granularity :
+       {ResponseGranularity::kBestResponse,
+        ResponseGranularity::kBestSingleMove,
+        ResponseGranularity::kRandomImprovingMove}) {
+    DynamicsOptions options;
+    options.granularity = granularity;
+    options.order = ActivationOrder::kUniformRandom;
+    options.max_activations = 40;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      Rng rng(seed);
+      const StrategyMatrix start = random_full_allocation(game, rng);
+      const DynamicsResult result =
+          run_response_dynamics(game, start, options, &rng);
+      EXPECT_LE(result.activations, 40u) << "seed " << seed;
+      if (!result.converged) continue;
+      if (granularity == ResponseGranularity::kBestResponse) {
+        EXPECT_TRUE(is_nash_equilibrium(game, result.final_state))
+            << "seed " << seed;
+      } else {
+        EXPECT_TRUE(is_single_move_stable(game, result.final_state))
+            << "seed " << seed;
+      }
+    }
+  }
+}
+
 /// Convergence sweep across rate families, granularities and orders: from
 /// random starts the dynamics must reach a stable state well within the
 /// activation budget (empirically the game has the finite-improvement

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -185,6 +187,115 @@ TEST(LearnerEngines, DrawOnlyFromTheHandedRngAndRequireOne) {
     EXPECT_EQ(a.final_state, b.final_state) << name;
     EXPECT_EQ(a.activations, b.activations) << name;
     EXPECT_EQ(a.improving_steps, b.improving_steps) << name;
+  }
+}
+
+/// The learners' trajectories on a 16-user, 6-channel, 2-radio cell of
+/// every scenario kind, pinned: a change to the run loop, the Rng draw
+/// order, a step rule or the cache bookkeeping that moves any decision
+/// shows up as a different count, final allocation or welfare bit. Every
+/// run starts from a random partial allocation drawn from the run's own
+/// seed (the `dcf` rows over a strict DCF table, the others over a
+/// power-law rate) with the welfare trace on; `cap` is the run's
+/// max_activations (0 keeps the default), and the capped rows stop on a
+/// budget that is not a multiple of the user count.
+struct LearnerGoldenRun {
+  const char* engine;
+  const char* scenario;
+  std::uint64_t seed;
+  std::size_t cap;
+  bool converged;
+  std::size_t activations;
+  std::size_t improving_steps;
+  std::size_t reprice_touches;
+  std::size_t trace_length;
+  std::uint64_t final_welfare_bits;
+  const char* final_key;
+};
+
+DynamicsResult run_learner_golden(const LearnerGoldenRun& golden) {
+  const auto make_model = [&] {
+    if (std::string(golden.scenario) == "dcf") {
+      const GameConfig config(16, 6, 2);
+      return GameModel(config,
+                       RateSpec::parse("dcf").make(config.total_radios()));
+    }
+    return ScenarioSpec::parse(golden.scenario)
+        .make_model(16, 6, 2, std::make_shared<PowerLawRate>(1.0, 0.5));
+  };
+  const GameModel model = make_model();
+  DynamicsOptions options;
+  options.record_welfare_trace = true;
+  if (golden.cap != 0) options.max_activations = golden.cap;
+  Rng rng(golden.seed);
+  const StrategyMatrix start = random_partial_allocation(model, rng);
+  return run_dynamics(DynamicsSpec::parse(golden.engine), model, start,
+                      options, &rng);
+}
+
+TEST(LearnerGolden, TrajectoriesOnEveryScenarioKind) {
+  const LearnerGoldenRun runs[] = {
+      {"log_linear:0.2:0.01", "base", 11, 0, true, 22464, 20429, 211110, 20430,
+       0x4004d7c23ee301fdull,
+       "0,0,0,1,0,1|0,0,0,0,1,1|1,0,1,0,0,0|0,0,1,0,1,0|0,1,0,0,0,1|1,1,0,0,0,0|1,0,0,1,0,0|0,1,0,0,1,0|0,1,0,1,0,0|0,0,0,0,1,1|1,0,1,0,0,0|0,0,1,1,0,0|0,0,0,1,1,0|0,1,1,0,0,0|0,0,1,0,0,1|1,1,0,0,0,0"},
+      {"log_linear:0.2:0.01", "energy=0.2", 11, 0, true, 85744, 69691, 423604, 69692,
+       0x3ffd7b74cd174ebdull,
+       "0,0,0,0,0,0|0,1,0,0,1,0|0,0,1,0,0,0|0,1,0,0,1,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,1,0,0|0,0,0,1,0,1|1,0,0,0,0,0|0,0,1,0,0,0|1,0,0,0,0,1|0,0,0,0,0,0"},
+      {"log_linear:0.2:0.01", "het=2:1", 11, 0, true, 40752, 36605, 404791, 36606,
+       0x400ea0784f5709d2ull,
+       "1,0,0,1,0,0|0,1,0,0,1,0|0,0,1,0,0,1|0,1,0,0,0,1|0,0,2,0,0,0|0,1,0,0,1,0|1,0,0,0,0,1|1,0,1,0,0,0|0,1,0,0,0,1|0,0,1,0,1,0|1,0,0,1,0,0|1,0,0,0,1,0|0,0,0,1,1,0|1,0,0,0,1,0|0,0,1,0,1,0|1,0,0,1,0,0"},
+      {"log_linear:0.2:0.01", "budgets=1:3", 11, 0, true, 40896, 36081, 373001, 36082,
+       0x4004d7c23ee301fcull,
+       "1,0,0,0,0,0|1,0,0,0,1,1|0,1,0,0,0,0|0,0,1,1,1,0|1,0,0,0,0,0|1,1,0,1,0,0|0,0,1,0,0,0|1,0,0,0,1,1|1,0,0,0,0,0|0,1,1,1,0,0|0,0,0,0,0,1|0,1,0,0,1,1|0,0,0,1,0,0|0,0,1,0,1,1|0,0,0,0,0,1|0,1,1,1,0,0"},
+      {"log_linear:0.2:0.01", "weights=2:1", 11, 0, true, 22464, 20429, 211110, 20430,
+       0x4004d7c23ee301fdull,
+       "0,0,0,1,0,1|0,0,0,0,1,1|1,0,1,0,0,0|0,0,1,0,1,0|0,1,0,0,0,1|1,1,0,0,0,0|1,0,0,1,0,0|0,1,0,0,1,0|0,1,0,1,0,0|0,0,0,0,1,1|1,0,1,0,0,0|0,0,1,1,0,0|0,0,0,1,1,0|0,1,1,0,0,0|0,0,1,0,0,1|1,1,0,0,0,0"},
+      {"log_linear:0.2:0.01", "topology=ring:2", 11, 0, true, 272, 188, 1715, 189,
+       0x4036f322a66bd512ull,
+       "1,0,0,0,1,0|0,0,1,0,0,1|0,1,1,0,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,1,1,0,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,0,1,0,0,1|0,0,0,1,1,0|1,1,0,0,0,0|0,0,1,0,0,1|0,0,1,0,0,1|1,0,0,0,1,0|0,1,0,1,0,0|0,0,0,1,0,1"},
+      {"log_linear:0.2:0.01", "dcf", 11, 0, true, 8032, 7323, 78439, 7324,
+       0x4013582e4c8aa006ull,
+       "1,0,0,0,0,1|0,1,1,0,0,0|0,1,0,0,1,0|0,1,0,1,0,0|1,0,0,0,0,1|0,1,0,1,0,0|0,0,0,0,1,1|1,0,0,0,1,0|1,0,1,0,0,0|1,0,0,0,0,1|0,1,0,1,0,0|1,0,0,0,1,0|0,0,1,0,1,0|0,0,1,1,0,0|0,0,1,0,0,1|0,0,0,1,1,0"},
+      {"log_linear:0.2:0.01", "base", 11, 50, false, 50, 45, 286, 46,
+       0x4005278f49997a30ull,
+       "1,0,0,0,0,1|0,0,0,2,0,0|1,0,1,0,0,0|0,0,0,1,0,1|0,0,1,1,0,0|0,0,1,1,0,0|0,1,1,0,0,0|0,0,0,0,1,0|1,1,0,0,0,0|0,1,0,0,0,1|0,0,0,0,1,1|1,0,0,0,1,0|0,0,1,0,1,0|0,1,0,0,1,0|0,1,0,0,0,1|1,0,1,0,0,0"},
+      {"trial_error:0.3", "base", 23, 0, true, 496, 36, 2359, 37,
+       0x4004d7c23ee301fdull,
+       "0,0,1,1,0,0|1,0,1,0,0,0|0,1,0,1,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,0,1,0,0,1|1,0,0,1,0,0|0,1,0,0,1,0|1,0,0,0,0,1|0,0,1,1,0,0|0,1,0,0,0,1|0,1,0,1,0,0|0,0,1,0,1,0|0,1,0,0,1,0|0,0,0,0,1,1|1,0,1,0,0,0"},
+      {"trial_error:0.3", "energy=0.2", 23, 0, true, 176, 8, 413, 9,
+       0x3ffd7b74cd174d00ull,
+       "0,0,1,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|1,1,0,0,0,0|0,0,0,0,1,1|0,1,0,0,0,1|1,0,0,0,0,0|0,0,0,0,1,0|0,0,0,0,0,0|0,0,0,1,0,0|0,0,0,0,0,0|0,0,0,1,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,0,0,0,0|0,0,1,0,0,0"},
+      {"trial_error:0.3", "het=2:1", 23, 0, true, 560, 41, 2745, 42,
+       0x400ea0784f570708ull,
+       "0,0,1,1,0,0|1,0,1,0,0,0|0,0,1,0,1,0|1,0,0,1,0,0|1,0,0,0,1,0|0,1,0,0,0,1|1,0,0,1,0,0|1,0,0,0,1,0|0,0,0,0,1,1|0,0,1,1,0,0|0,1,0,0,0,1|1,0,1,0,0,0|0,1,0,0,1,0|0,1,0,0,1,0|0,0,0,0,1,1|1,0,1,0,0,0"},
+      {"trial_error:0.3", "budgets=1:3", 23, 0, true, 608, 34, 3153, 35,
+       0x4004d7c23ee301faull,
+       "0,0,0,0,0,1|0,1,1,0,1,0|0,0,0,0,1,0|1,1,0,0,0,1|0,1,0,0,0,0|1,0,0,1,0,1|0,0,0,1,0,0|0,0,1,1,1,0|1,0,0,0,0,0|0,1,1,0,1,0|1,0,0,0,0,0|0,1,0,1,0,1|0,0,1,0,0,0|1,0,0,1,1,0|0,0,0,0,1,0|0,1,1,0,0,1"},
+      {"trial_error:0.3", "weights=2:1", 23, 0, true, 496, 36, 2359, 37,
+       0x4004d7c23ee301fdull,
+       "0,0,1,1,0,0|1,0,1,0,0,0|0,1,0,1,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,0,1,0,0,1|1,0,0,1,0,0|0,1,0,0,1,0|1,0,0,0,0,1|0,0,1,1,0,0|0,1,0,0,0,1|0,1,0,1,0,0|0,0,1,0,1,0|0,1,0,0,1,0|0,0,0,0,1,1|1,0,1,0,0,0"},
+      {"trial_error:0.3", "topology=ring:2", 23, 0, true, 576, 38, 2490, 39,
+       0x4035a827999fceedull,
+       "1,0,1,0,0,0|0,0,0,0,1,1|0,1,0,1,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,1,1,0,0,0|1,0,0,1,0,0|0,1,0,0,1,0|0,0,1,0,0,1|1,0,0,1,0,0|0,1,0,0,0,1|1,0,1,0,0,0|0,0,1,0,1,0|0,1,0,0,1,0|0,0,0,1,0,1|1,1,0,0,0,0"},
+      {"trial_error:0.3", "dcf", 23, 0, true, 496, 36, 2359, 37,
+       0x4013582e4c8aa008ull,
+       "0,0,1,1,0,0|1,0,1,0,0,0|0,1,0,1,0,0|1,0,0,1,0,0|0,0,0,0,1,1|0,0,1,0,0,1|1,0,0,1,0,0|0,1,0,0,1,0|1,0,0,0,0,1|0,0,1,1,0,0|0,1,0,0,0,1|0,1,0,1,0,0|0,0,1,0,1,0|0,1,0,0,1,0|0,0,0,0,1,1|1,0,1,0,0,0"},
+      {"trial_error:0.3", "base", 23, 50, false, 50, 12, 139, 13,
+       0x400dbcf7a3216bc5ull,
+       "0,0,1,0,0,0|1,0,0,0,0,0|0,0,0,0,0,0|2,0,0,0,0,0|0,0,0,0,1,1|0,1,0,0,0,1|2,0,0,0,0,0|0,0,0,0,1,1|0,0,0,0,1,0|0,0,0,1,0,0|0,0,0,0,0,0|0,0,0,1,0,0|0,0,1,0,1,0|0,0,0,0,1,0|0,0,0,0,1,0|0,0,1,0,0,0"},
+  };
+  for (const LearnerGoldenRun& golden : runs) {
+    SCOPED_TRACE(std::string(golden.engine) + " " + golden.scenario +
+                 " cap=" + std::to_string(golden.cap));
+    const DynamicsResult result = run_learner_golden(golden);
+    EXPECT_EQ(result.converged, golden.converged);
+    EXPECT_EQ(result.activations, golden.activations);
+    EXPECT_EQ(result.improving_steps, golden.improving_steps);
+    EXPECT_EQ(result.reprice_touches, golden.reprice_touches);
+    EXPECT_EQ(result.welfare_trace.size(), golden.trace_length);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.final_welfare),
+              golden.final_welfare_bits);
+    EXPECT_EQ(result.final_state.key(), golden.final_key);
   }
 }
 
