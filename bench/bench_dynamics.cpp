@@ -2,9 +2,9 @@
 // cell, from the same seeded start.
 //
 // Like bench_scale this is plain C++ with no google-benchmark dependency:
-// it times whole runs itself and emits JSON in the same shape
-// google-benchmark writes, so BENCH_dynamics.json joins the recorded
-// trajectory files and CI can smoke it without the benchmark library.
+// it times whole runs itself and writes google-benchmark-shaped JSON
+// through bench/harness.h, so CI can smoke it without the benchmark
+// library.
 //
 // Each engine runs from an identical random start at the default N=512
 // cell and reports wall/cpu time, activations ("steps"), steps/second,
@@ -19,14 +19,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
+#include "harness.h"
 #include "mrca.h"
 
 namespace {
@@ -41,26 +38,13 @@ struct Options {
   // N=512 cell: utility gaps shrink as ~1/load^2, so log-linear must anneal
   // well below ~1e-6 to leave the diffusive regime, and the distributed
   // protocol needs p small enough that simultaneous movers stop colliding.
-  std::vector<std::string> engines = {
-      "best_response", "log_linear:0.0001:0.000000001", "trial_error:0.2",
-      "distributed:0.01"};
+  std::vector<DynamicsSpec> engines = DynamicsSpec::parse_list(
+      "best_response,log_linear:0.0001:0.000000001,trial_error:0.2,"
+      "distributed:0.01");
   std::uint64_t seed = 42;
   std::size_t max_activations = 500000;
   bool require_converged = false;  // exit nonzero unless every run converges
   std::string json_path;           // empty = no JSON file
-};
-
-struct RunRecord {
-  std::string name;
-  double real_ms = 0.0;
-  double cpu_ms = 0.0;
-  std::size_t users = 0;
-  bool converged = false;
-  std::size_t activations = 0;
-  std::size_t improving_steps = 0;
-  double steps_per_second = 0.0;
-  double steps_to_converge = -1.0;  // -1 = budget exhausted before stability
-  double welfare = 0.0;
 };
 
 [[noreturn]] void usage(int exit_code) {
@@ -100,20 +84,15 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--channels") {
       options.channels = std::strtoull(value(i), nullptr, 10);
     } else if (arg == "--radios") {
-      options.radios = static_cast<RadioCount>(std::atoi(value(i)));
+      options.radios =
+          static_cast<RadioCount>(std::strtol(value(i), nullptr, 10));
     } else if (arg == "--engines") {
-      options.engines.clear();
-      const std::string list = value(i);
-      std::size_t begin = 0;
-      while (begin <= list.size()) {
-        const std::size_t comma = list.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > begin) {
-          options.engines.push_back(list.substr(begin, end - begin));
-        }
-        if (comma == std::string::npos) break;
-        begin = comma + 1;
+      const char* list = value(i);
+      try {
+        options.engines = DynamicsSpec::parse_list(list);
+      } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "bench_dynamics: %s\n", error.what());
+        usage(2);
       }
     } else if (arg == "--seed") {
       options.seed = std::strtoull(value(i), nullptr, 10);
@@ -137,92 +116,6 @@ Options parse_options(int argc, char** argv) {
   return options;
 }
 
-double cpu_ms_now() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) * 1e-6;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-void write_json(const Options& options,
-                const std::vector<RunRecord>& records) {
-  std::FILE* out = std::fopen(options.json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bench_dynamics: cannot open %s\n",
-                 options.json_path.c_str());
-    std::exit(1);
-  }
-  char date[64] = "1970-01-01T00:00:00+00:00";
-  const std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  if (gmtime_r(&now, &utc) != nullptr) {
-    std::strftime(date, sizeof(date), "%FT%T+00:00", &utc);
-  }
-  char host[256] = "(unknown)";
-  if (gethostname(host, sizeof(host) - 1) != 0) {
-    std::strcpy(host, "(unknown)");
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"context\": {\n"
-               "    \"date\": \"%s\",\n"
-               "    \"host_name\": \"%s\",\n"
-               "    \"executable\": \"bench_dynamics\",\n"
-               "    \"num_cpus\": %ld,\n"
-               "    \"mhz_per_cpu\": 0,\n"
-               "    \"cpu_scaling_enabled\": false,\n"
-               "    \"caches\": [\n"
-               "    ],\n"
-               "    \"load_avg\": [],\n"
-               "    \"library_build_type\": \"release\"\n"
-               "  },\n"
-               "  \"benchmarks\": [\n",
-               date, json_escape(host).c_str(),
-               sysconf(_SC_NPROCESSORS_ONLN));
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const RunRecord& r = records[i];
-    std::fprintf(out,
-                 "    {\n"
-                 "      \"name\": \"%s\",\n"
-                 "      \"family_index\": %zu,\n"
-                 "      \"per_family_instance_index\": 0,\n"
-                 "      \"run_name\": \"%s\",\n"
-                 "      \"run_type\": \"iteration\",\n"
-                 "      \"repetitions\": 1,\n"
-                 "      \"repetition_index\": 0,\n"
-                 "      \"threads\": 1,\n"
-                 "      \"iterations\": 1,\n"
-                 "      \"real_time\": %.17g,\n"
-                 "      \"cpu_time\": %.17g,\n"
-                 "      \"time_unit\": \"ms\",\n"
-                 "      \"users\": %zu,\n"
-                 "      \"converged\": %d,\n"
-                 "      \"activations\": %zu,\n"
-                 "      \"improving_steps\": %zu,\n"
-                 "      \"steps_per_second\": %.17g,\n"
-                 "      \"steps_to_converge\": %.17g,\n"
-                 "      \"welfare\": %.17g\n"
-                 "    }%s\n",
-                 json_escape(r.name).c_str(), i, json_escape(r.name).c_str(),
-                 r.real_ms, r.cpu_ms, r.users, r.converged ? 1 : 0,
-                 r.activations, r.improving_steps, r.steps_per_second,
-                 r.steps_to_converge, r.welfare,
-                 i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -233,48 +126,45 @@ int main(int argc, char** argv) {
   Rng start_rng(options.seed);
   const StrategyMatrix start = random_full_allocation(model, start_rng);
 
-  std::vector<RunRecord> records;
+  std::vector<bench::Entry> entries;
   bool all_converged = true;
-  for (const std::string& engine_text : options.engines) {
-    const DynamicsSpec spec = DynamicsSpec::parse(engine_text);
+  for (const DynamicsSpec& spec : options.engines) {
     DynamicsOptions dynamics;
     dynamics.max_activations = options.max_activations;
     Rng rng(options.seed * 0x9e3779b97f4a7c15ULL + 1);
-    const auto real_begin = std::chrono::steady_clock::now();
-    const double cpu_begin = cpu_ms_now();
+    const bench::Stopwatch watch;
     const DynamicsResult result =
         run_dynamics(spec, model, start, dynamics, &rng);
-    const double cpu_ms = cpu_ms_now() - cpu_begin;
-    const double real_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - real_begin)
-                               .count();
+    const double cpu_ms = watch.cpu_ms();
+    const double real_ms = watch.real_ms();
+    const auto steps = static_cast<double>(result.activations);
+    const double steps_per_second =
+        real_ms > 0.0 ? steps / (real_ms * 1e-3) : 0.0;
 
-    RunRecord record;
-    record.name = "BM_Dynamics/" + spec.name() +
-                  "/users:" + std::to_string(options.users);
-    record.real_ms = real_ms;
-    record.cpu_ms = cpu_ms;
-    record.users = options.users;
-    record.converged = result.converged;
-    record.activations = result.activations;
-    record.improving_steps = result.improving_steps;
-    record.steps_per_second =
-        real_ms > 0.0
-            ? static_cast<double>(result.activations) / (real_ms * 1e-3)
-            : 0.0;
-    record.steps_to_converge =
-        result.converged ? static_cast<double>(result.activations) : -1.0;
-    record.welfare = result.final_welfare;
-    records.push_back(record);
+    entries.push_back(
+        {"BM_Dynamics/" + spec.name() +
+             "/users:" + std::to_string(options.users),
+         real_ms,
+         cpu_ms,
+         {{"users", static_cast<double>(options.users)},
+          {"converged", result.converged ? 1.0 : 0.0},
+          {"activations", steps},
+          {"improving_steps", static_cast<double>(result.improving_steps)},
+          {"steps_per_second", steps_per_second},
+          // -1 = budget exhausted before stability
+          {"steps_to_converge", result.converged ? steps : -1.0},
+          {"welfare", result.final_welfare}}});
     all_converged = all_converged && result.converged;
 
     std::printf("%-52s %10.1f ms  %9zu steps  %12.0f steps/s  %s\n",
-                record.name.c_str(), record.real_ms, record.activations,
-                record.steps_per_second,
-                record.converged ? "converged" : "BUDGET EXHAUSTED");
+                entries.back().name.c_str(), real_ms, result.activations,
+                steps_per_second,
+                result.converged ? "converged" : "BUDGET EXHAUSTED");
   }
 
-  if (!options.json_path.empty()) write_json(options, records);
+  if (!options.json_path.empty()) {
+    bench::write_json(options.json_path, "bench_dynamics", entries);
+  }
   if (options.require_converged && !all_converged) {
     std::fprintf(stderr,
                  "bench_dynamics: a run exhausted its budget with "

@@ -40,7 +40,6 @@ int main() {
     RunningStats delay;
     std::uint64_t arrivals = 0;
     std::uint64_t drops = 0;
-    std::vector<double> delays;
     for (int s = 0; s < kStations; ++s) {
       const auto& stats = channel.station_stats(s);
       delay.merge(stats.delay_s);

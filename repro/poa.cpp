@@ -1,7 +1,7 @@
 // E6 — efficiency of selfish allocation (Theorem 2 and beyond).
 //
 // The paper proves NE = Pareto-optimal and system-optimal under constant R.
-// This bench regenerates that claim and quantifies what the paper's Section
+// This program regenerates that claim and quantifies what the paper's Section
 // 2 anticipates but does not evaluate: with practical CSMA/CA (decreasing
 // R) the load-balancing equilibrium is no longer system-optimal. Since all
 // NE share the balanced load profile, the price of anarchy has a closed

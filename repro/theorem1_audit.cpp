@@ -5,9 +5,9 @@
 // over EVERY full-deployment strategy matrix of a family of small games,
 // plus the closed-form boundary analysis of the exception clause.
 //
-// Reproduction finding (DESIGN.md §2): necessity is exact; sufficiency has
-// a documented gap when an exception user stacks >= 2 radios on a
-// min-loaded channel of load m < 4 (constant R).
+// Reproduction finding (also pinned by tests/test_theorem_audit.cpp):
+// necessity is exact; sufficiency has a gap when an exception user stacks
+// >= 2 radios on a min-loaded channel of load m < 4 (constant R).
 #include <iostream>
 
 #include "core/analysis/symmetry.h"

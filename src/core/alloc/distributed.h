@@ -12,7 +12,7 @@
 //
 // With p = 1 users can oscillate in lockstep (classic load-balancing
 // herding); small p trades convergence speed for stability. The
-// `bench_convergence` harness sweeps p.
+// `repro/convergence.cpp` (E8) sweeps p.
 //
 // The protocol runs against the unified GameModel, so it covers every
 // scenario axis (per-channel rates, per-user budgets, energy price): an

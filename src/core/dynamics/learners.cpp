@@ -28,9 +28,10 @@
 // strictly improve the experimenter's utility, so on the potential
 // landscape the process is a (randomized, lazy) better-response walk.
 //
-// Convergence is declared when the periodic check finds the state
-// single-move stable: such states are absorbing for trial-and-error, and
-// for log-linear play at low temperature up to exp(-gap/T).
+// Convergence is declared when the periodic check (or the final one when
+// the budget runs out) finds the state single-move stable: such states are
+// absorbing for trial-and-error, and for log-linear play at low
+// temperature up to exp(-gap/T).
 
 #include <cmath>
 #include <vector>
@@ -73,6 +74,10 @@ DynamicsResult run_learner(const GameModel& model, const StrategyMatrix& start,
         result.welfare_trace.push_back(cache.welfare());
       }
     }
+  }
+  // The budget can run out between two periodic checks on a stable state.
+  if (!result.converged) {
+    result.converged = is_single_move_stable(model, state, options.tolerance);
   }
   result.reprice_touches = cache.reprice_touches();
   result.final_welfare = cache.welfare();

@@ -13,7 +13,7 @@
 //   - on collision the window doubles, up to CW_min * 2^max_backoff_stage
 //     (binary exponential backoff, Bianchi's W and m).
 //
-// Validation: bench_sim_validation and the test suite compare the measured
+// Validation: repro/sim_validation.cpp and the test suite compare the measured
 // saturation throughput and collision probability against the Bianchi
 // fixed-point model for the same parameters.
 #pragma once

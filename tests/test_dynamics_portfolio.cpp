@@ -190,6 +190,33 @@ TEST(LearnerEngines, DrawOnlyFromTheHandedRngAndRequireOne) {
   }
 }
 
+TEST(LearnerEngines, ConvergedIsExactlySingleMoveStabilityAtAnyBudget) {
+  // The periodic check runs once per N activations, so a budget can run out
+  // between two checks on a state that is already stable. The run must
+  // still say so: `converged` is exactly the stability of the final state,
+  // for every budget from 1 to 6N (1080 runs).
+  for (const std::string name : {"trial_error:0.3", "log_linear:0.05:0.0001"}) {
+    const DynamicsSpec spec = DynamicsSpec::parse(name);
+    for (const std::size_t users : {4u, 6u, 8u}) {
+      const GameModel model =
+          mrca::testing::power_law_game(users, 3, 2, /*alpha=*/1.0);
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        for (std::size_t cap = 1; cap <= 6 * users; ++cap) {
+          Rng rng(seed);
+          const StrategyMatrix start = random_full_allocation(model, rng);
+          DynamicsOptions options;
+          options.max_activations = cap;
+          const DynamicsResult result =
+              run_dynamics(spec, model, start, options, &rng);
+          EXPECT_EQ(result.converged,
+                    is_single_move_stable(model, result.final_state))
+              << name << " N=" << users << " seed=" << seed << " cap=" << cap;
+        }
+      }
+    }
+  }
+}
+
 /// The learners' trajectories on a 16-user, 6-channel, 2-radio cell of
 /// every scenario kind, pinned: a change to the run loop, the Rng draw
 /// order, a step rule or the cache bookkeeping that moves any decision
