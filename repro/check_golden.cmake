@@ -1,12 +1,14 @@
-# Golden gate for the repro/ programs: runs PROGRAM and compares its stdout
-# byte for byte with GOLDEN. On a mismatch the actual output is kept next
-# to the test (ACTUAL) so `diff -u GOLDEN ACTUAL` shows what moved.
+# Golden gate for the repro/ programs and the DES digest (tests/): runs
+# PROGRAM and compares its stdout byte for byte with GOLDEN. On a mismatch
+# the actual output is kept next to the test (ACTUAL) so `diff -u GOLDEN ACTUAL`
+# shows what moved.
 #
 #   cmake -DPROGRAM=<exe> -DGOLDEN=<file> -DACTUAL=<file> -P check_golden.cmake
 #
 # To regenerate a golden after an intended output change, redirect the
 # program's stdout over it, e.g. from the source root:
 #   ./build/repro_poa > tests/golden/repro/poa.txt
+#   ./build/dcf_trace_digest > tests/golden/sim/dcf_trace_digest.txt
 foreach(var IN ITEMS PROGRAM GOLDEN ACTUAL)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_golden.cmake: -D${var}=... is required")

@@ -4,12 +4,20 @@
 // number), which the MAC layer relies on: a frame's end-of-transmission
 // event is always scheduled before any same-tick transmission start, so
 // back-to-back airtime does not read as a collision.
+//
+// Storage is allocation-free in steady state: handlers live in a slot
+// vector recycled through a free list, and the heap holds (time, id)
+// pairs. An EventId packs a monotone sequence number above the slot
+// index, so ids increase in scheduling order, the heap's FIFO tie-break is
+// the id itself, and a slot's current id doubles as its generation: a
+// stale id (fired or cancelled, its slot since reused) never matches.
+// Limits: 2^24 events pending at once and 2^40 schedules per queue
+// (std::length_error beyond either).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/sim_time.h"
@@ -32,35 +40,51 @@ class EventQueue {
   std::size_t size() const noexcept { return live_count_; }
 
   /// Time of the earliest pending event; queue must be non-empty.
-  SimTime next_time() const;
+  SimTime next_time();
 
   /// Pops and runs the earliest event; returns its timestamp.
   /// Queue must be non-empty.
   SimTime run_next();
 
+  /// Runs the earliest event if it is due at or before `end`, first
+  /// setting `clock` to its timestamp so the handler observes it. Returns
+  /// false, touching nothing, when no event is due.
+  bool run_due(SimTime end, SimTime& clock);
+
+  /// Id of the event whose handler is running (kInvalidEvent outside one).
+  EventId running() const noexcept { return running_; }
+
  private:
   struct Entry {
     SimTime time;
-    std::uint64_t seq;
     EventId id;
     bool operator>(const Entry& other) const noexcept {
       if (time != other.time) return time > other.time;
-      return seq > other.seq;
+      return id > other.id;
     }
   };
+  struct Slot {
+    EventId id = kInvalidEvent;  ///< occupant, kInvalidEvent when free
+    std::function<void()> handler;
+  };
 
-  void drop_cancelled() const;
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  // Lookup-only (schedule/cancel/extract by id — never iterated): firing
-  // order comes exclusively from the (time, seq) heap, so the hash map's
-  // internal order cannot reach results. mrca_lint's unordered-iter rule
-  // keeps it that way; switch to std::map if iteration ever becomes
-  // necessary.
-  std::unordered_map<EventId, std::function<void()>> handlers_;
-  EventId next_id_ = 1;
-  std::uint64_t next_seq_ = 0;
+  bool is_live(EventId id) const noexcept {
+    const EventId slot = id & kSlotMask;
+    return id != kInvalidEvent && slot < slots_.size() &&
+           slots_[slot].id == id;
+  }
+  void release(std::uint32_t slot);
+  void drop_cancelled();
+
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 1;  // 0 would let slot 0's first id be invalid
   std::size_t live_count_ = 0;
+  EventId running_ = kInvalidEvent;
 };
 
 }  // namespace mrca::sim

@@ -42,7 +42,7 @@ void DcfStation::start() {
   }
   draw_backoff();
   if (traffic_.saturated) {
-    schedule_pending(difs_, /*is_difs=*/true);
+    arm();
   } else {
     schedule_next_arrival();
   }
@@ -71,7 +71,7 @@ void DcfStation::on_arrival() {
     // or frozen or transmitting station just grows its queue.
     if (queue_.size() == 1 && !transmitting_ &&
         pending_event_ == kInvalidEvent && !medium_busy_) {
-      schedule_pending(difs_, /*is_difs=*/true);
+      arm();
     }
   }
   schedule_next_arrival();
@@ -79,7 +79,7 @@ void DcfStation::on_arrival() {
 
 void DcfStation::arm_if_ready() {
   if (has_traffic()) {
-    schedule_pending(difs_, /*is_difs=*/true);
+    arm();
     if (trace_recorder_) {
       trace_recorder_->record(simulator_.now(),
                               TraceEventKind::kBackoffResumed, trace_id_);
@@ -104,30 +104,41 @@ void DcfStation::cancel_pending() {
   }
 }
 
-void DcfStation::schedule_pending(SimTime delay, bool is_difs) {
+void DcfStation::arm() {
   cancel_pending();
-  pending_time_ = simulator_.now() + delay;
-  pending_event_ = simulator_.schedule_at(pending_time_, [this, is_difs] {
-    pending_event_ = kInvalidEvent;
-    if (is_difs) {
-      difs_elapsed();
-    } else {
-      slot_elapsed();
-    }
-  });
+  countdown_origin_ = simulator_.now() + difs_;
+  pending_event_ = simulator_.schedule_at(
+      countdown_origin_ + backoff_counter_ * slot_, [this] {
+        pending_event_ = kInvalidEvent;
+        backoff_counter_ = 0;
+        begin_transmission();
+      });
 }
 
 void DcfStation::on_busy_start() {
   medium_busy_ = true;
-  // Drop countdown events strictly in the future; an event at exactly this
-  // tick represents the slot boundary that just completed while the medium
-  // was still idle, and must still fire (simultaneous expiry = collision).
-  if (pending_event_ != kInvalidEvent && pending_time_ > simulator_.now()) {
-    cancel_pending();
-    if (trace_recorder_ && !transmitting_) {
-      trace_recorder_->record(simulator_.now(),
-                              TraceEventKind::kBackoffFrozen, trace_id_);
-    }
+  if (pending_event_ == kInvalidEvent) return;
+  // Freeze: every slot boundary up to and including this tick has
+  // elapsed idle, so it counts down the counter.
+  const SimTime now = simulator_.now();
+  bool boundary_runs_later = false;
+  if (now >= countdown_origin_) {
+    const SimTime idle = now - countdown_origin_;
+    backoff_counter_ -= static_cast<int>(idle / slot_);
+    // The counter expires at this very tick: the expiry, queued behind the
+    // event that made the medium busy, still fires (simultaneous expiry =
+    // collision).
+    if (backoff_counter_ == 0) return;
+    // A boundary at exactly this tick comes, in same-tick FIFO order,
+    // after the event now running when this station armed after it (a
+    // larger id): the station meets the medium already busy there, its
+    // countdown just stops, and it logs no freeze.
+    boundary_runs_later =
+        idle % slot_ == 0 && pending_event_ > simulator_.current_event();
+  }
+  cancel_pending();
+  if (trace_recorder_ && !transmitting_ && !boundary_runs_later) {
+    trace_recorder_->record(now, TraceEventKind::kBackoffFrozen, trace_id_);
   }
 }
 
@@ -137,29 +148,7 @@ void DcfStation::on_idle_start() {
   arm_if_ready();
 }
 
-void DcfStation::difs_elapsed() {
-  if (backoff_counter_ == 0) {
-    begin_transmission();
-    return;
-  }
-  if (!medium_busy_) {
-    schedule_pending(slot_, /*is_difs=*/false);
-  }
-}
-
-void DcfStation::slot_elapsed() {
-  --backoff_counter_;
-  if (backoff_counter_ == 0) {
-    begin_transmission();
-    return;
-  }
-  if (!medium_busy_) {
-    schedule_pending(slot_, /*is_difs=*/false);
-  }
-}
-
 void DcfStation::begin_transmission() {
-  cancel_pending();
   transmitting_ = true;
   ++stats_.attempts;
   if (trace_recorder_) {

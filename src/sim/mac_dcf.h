@@ -13,6 +13,27 @@
 //   - on collision the window doubles, up to CW_min * 2^max_backoff_stage
 //     (binary exponential backoff, Bianchi's W and m).
 //
+// Event model: one event per station per contention period, not one per
+// idle slot. Arming (at start, when the medium goes idle, or when a frame
+// reaches an idle station) sets the countdown origin to now + DIFS and
+// schedules a single expiry at origin + counter * slot, which transmits.
+// When the medium turns busy first, the counter freezes by arithmetic:
+// counter -= (now - origin) / slot for now >= origin (a boundary at
+// exactly this tick counts as elapsed), and the expiry is cancelled. If
+// that leaves zero, the expiry is at this tick and still fires after the
+// event that made the medium busy: a collision. A boundary at this tick
+// is ordered with same-tick FIFO: a station armed before the transmitter
+// (a smaller EventId) reached it while the medium was idle and logs a
+// BACKOFF_FREEZE; one armed after reached it with the medium already busy
+// and logs none. Counters and statistics equal those of a countdown that
+// decrements once per idle slot; so does the trace whenever the
+// contending stations share one origin, which saturated traffic always
+// does. With Poisson arrivals a same-tick tie can order differently
+// (e.g. origins a whole number of slots apart: a per-slot countdown runs
+// the later origin first, this model the earlier arming), which moves a
+// BACKOFF_FREEZE line or the order of same-tick lines, never a counter.
+// tests/golden/sim pins the traces.
+//
 // Validation: repro/sim_validation.cpp and the test suite compare the measured
 // saturation throughput and collision probability against the Bianchi
 // fixed-point model for the same parameters.
@@ -105,13 +126,11 @@ class DcfStation final : public MediumListener, public TxListener {
   void schedule_next_arrival();
   void on_arrival();
   void arm_if_ready();
-  void difs_elapsed();
-  void slot_elapsed();
+  void arm();
   void begin_transmission();
   void draw_backoff();
   int contention_window() const;
   void cancel_pending();
-  void schedule_pending(SimTime delay, bool is_difs);
 
   Simulator& simulator_;
   Medium& medium_;
@@ -128,13 +147,18 @@ class DcfStation final : public MediumListener, public TxListener {
   SimTime rts_duration_ = 0;
   SimTime cts_duration_ = 0;
 
+  /// Slots left to count from countdown_origin_ (frozen value while the
+  /// station is not armed).
   int backoff_counter_ = 0;
   int backoff_stage_ = 0;
   bool medium_busy_ = false;
   bool transmitting_ = false;
 
+  /// The armed countdown: slot boundaries fall at countdown_origin_ +
+  /// j * slot_, and pending_event_ fires at the last one (kInvalidEvent
+  /// when not armed).
+  SimTime countdown_origin_ = 0;
   EventId pending_event_ = kInvalidEvent;
-  SimTime pending_time_ = 0;
 
   TrafficOptions traffic_;
   std::deque<SimTime> queue_;  ///< enqueue timestamps (unsaturated mode)

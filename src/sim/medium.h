@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/stats.h"
@@ -65,6 +64,7 @@ class Medium {
 
  private:
   struct ActiveTx {
+    std::uint64_t id;
     TxListener* owner;
     bool collided;
   };
@@ -73,13 +73,12 @@ class Medium {
 
   Simulator& simulator_;
   std::vector<MediumListener*> listeners_;
-  // Ordered by transmission id: start_transmission ITERATES this map (to
-  // damage everything on the air), and iterated order must never depend
-  // on hash layout in code whose effects can reach traces/results —
-  // mrca_lint's unordered-iter rule enforces the invariant tree-wide.
-  // The map holds the handful of concurrently-airborne frames, so the
-  // O(log n) lookup is irrelevant next to the event-queue work per frame.
-  std::map<std::uint64_t, ActiveTx> active_;
+  // The frames on the air, in transmission-id order (appended as they
+  // start, erased in place as they end): start_transmission iterates it
+  // to damage everything on the air, so the order is deterministic. It
+  // holds the handful of concurrently airborne frames, so a linear find
+  // beats a tree and allocates nothing once its capacity has grown.
+  std::vector<ActiveTx> active_;
   std::uint64_t next_tx_id_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t collided_ = 0;

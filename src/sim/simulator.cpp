@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace mrca::sim {
@@ -19,14 +20,10 @@ EventId Simulator::schedule_in(SimTime delay, std::function<void()> handler) {
 }
 
 std::size_t Simulator::run_until(SimTime end) {
+  // run_due advances the clock BEFORE dispatching, so handlers observe
+  // now() == their own timestamp (and schedule_in computes correct offsets).
   std::size_t ran = 0;
-  while (!queue_.empty() && queue_.next_time() <= end) {
-    // Advance the clock BEFORE dispatching so handlers observe now() ==
-    // their own timestamp (and schedule_in computes correct offsets).
-    now_ = queue_.next_time();
-    queue_.run_next();
-    ++ran;
-  }
+  while (queue_.run_due(end, now_)) ++ran;
   now_ = end;
   processed_ += ran;
   return ran;
@@ -34,11 +31,7 @@ std::size_t Simulator::run_until(SimTime end) {
 
 std::size_t Simulator::run_all() {
   std::size_t ran = 0;
-  while (!queue_.empty()) {
-    now_ = queue_.next_time();
-    queue_.run_next();
-    ++ran;
-  }
+  while (queue_.run_due(std::numeric_limits<SimTime>::max(), now_)) ++ran;
   processed_ += ran;
   return ran;
 }

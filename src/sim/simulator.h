@@ -21,6 +21,12 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Id of the event being dispatched (kInvalidEvent between events). Ids
+  /// increase in scheduling order, so comparing a pending id with it tells
+  /// whether that event runs before or after the current one when both
+  /// share a timestamp.
+  EventId current_event() const noexcept { return queue_.running(); }
+
   /// Runs every event with timestamp <= end, then advances the clock to
   /// exactly `end` (even if idle). Returns events processed.
   std::size_t run_until(SimTime end);

@@ -101,6 +101,106 @@ TEST(EventQueue, EventCanCancelAnotherEvent) {
   EXPECT_FALSE(second_fired);
 }
 
+TEST(EventQueue, StaleIdsCannotCancelTheirSlotsNextOccupant) {
+  EventQueue queue;
+  bool fired_second = false;
+  bool fired_third = false;
+  // A fired id: its slot is free again once the event has run.
+  const EventId fired = queue.schedule(1, [] {});
+  queue.run_next();
+  const EventId second = queue.schedule(2, [&] { fired_second = true; });
+  EXPECT_FALSE(queue.cancel(fired));
+  // A cancelled id, whose slot the next schedule reuses.
+  const EventId cancelled = queue.schedule(3, [] {});
+  EXPECT_TRUE(queue.cancel(cancelled));
+  const EventId third = queue.schedule(4, [&] { fired_third = true; });
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_NE(second, fired);
+  EXPECT_NE(third, cancelled);
+  EXPECT_EQ(queue.size(), 2u);
+  while (!queue.empty()) queue.run_next();
+  EXPECT_TRUE(fired_second);
+  EXPECT_TRUE(fired_third);
+  EXPECT_FALSE(queue.cancel(second));
+  EXPECT_FALSE(queue.cancel(third));
+}
+
+TEST(EventQueue, IdsIncreaseInSchedulingOrder) {
+  // Slots are recycled in LIFO order, so ids that only encoded the slot
+  // would go down; the sequence part keeps them strictly increasing.
+  EventQueue queue;
+  std::vector<EventId> ids;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(queue.schedule(round * 10 + 4 - i, [] {}));
+    }
+    queue.cancel(ids[ids.size() - 2]);
+    queue.run_next();
+    queue.run_next();
+  }
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_LT(ids[i - 1], ids[i]) << "at " << i;
+  }
+}
+
+TEST(EventQueue, SizeTracksScheduleCancelAndRun) {
+  EventQueue queue;
+  std::vector<EventId> pending;
+  std::size_t expected = 0;
+  int ran = 0;
+  for (int step = 0; step < 200; ++step) {
+    switch (step % 5) {
+      case 0:
+      case 1:
+      case 3:
+        pending.push_back(queue.schedule(step, [&ran] { ++ran; }));
+        ++expected;
+        break;
+      case 2:
+        // Cancel the oldest id still listed; it may have fired already.
+        if (queue.cancel(pending.front())) --expected;
+        pending.erase(pending.begin());
+        break;
+      case 4:
+        queue.run_next();
+        --expected;
+        break;
+    }
+    ASSERT_EQ(queue.size(), expected) << "step " << step;
+    ASSERT_EQ(queue.empty(), expected == 0);
+  }
+  while (!queue.empty()) {
+    queue.run_next();
+    --expected;
+  }
+  EXPECT_EQ(expected, 0u);
+  EXPECT_GT(ran, 0);
+}
+
+TEST(EventQueue, RunDueStopsAtTheHorizon) {
+  EventQueue queue;
+  queue.schedule(5, [] {});
+  queue.schedule(7, [] {});
+  SimTime clock = 0;
+  EXPECT_TRUE(queue.run_due(5, clock));
+  EXPECT_EQ(clock, 5);
+  EXPECT_FALSE(queue.run_due(6, clock));
+  EXPECT_EQ(clock, 5);
+  EXPECT_TRUE(queue.run_due(7, clock));
+  EXPECT_EQ(clock, 7);
+  EXPECT_FALSE(queue.run_due(100, clock));
+}
+
+TEST(EventQueue, RunningIdIsTheDispatchedEvent) {
+  EventQueue queue;
+  EventId seen = kInvalidEvent;
+  const EventId id = queue.schedule(1, [&] { seen = queue.running(); });
+  EXPECT_EQ(queue.running(), kInvalidEvent);
+  queue.run_next();
+  EXPECT_EQ(seen, id);
+  EXPECT_EQ(queue.running(), kInvalidEvent);
+}
+
 TEST(SimTimeConversions, RoundTrip) {
   EXPECT_EQ(from_seconds(1.0), kNanosPerSecond);
   EXPECT_EQ(from_seconds(50e-6), 50000);

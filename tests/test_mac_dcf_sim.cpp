@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/stats.h"
 #include "mac/bianchi.h"
 
@@ -106,13 +108,85 @@ TEST(DcfChannelSim, DifferentSeedsDifferButAgreeOnAverage) {
   EXPECT_NEAR(ta, tb, 0.05 * ta);
 }
 
+// Everything a resumed run must reproduce: the full event trace, every
+// station's counters, the clock and the medium's busy fraction.
+struct ChannelOutcome {
+  TraceRecorder trace;
+  std::vector<std::vector<double>> stations;
+  double elapsed_s = 0.0;
+  double busy_fraction = 0.0;
+};
+
+ChannelOutcome run_in_pieces(const DcfParameters& p, TrafficOptions traffic,
+                             const std::vector<SimTime>& pieces) {
+  ChannelOutcome outcome;
+  DcfChannelSim sim(p, 4, 21, traffic);
+  sim.attach_trace(outcome.trace);
+  for (const SimTime piece : pieces) sim.run(to_seconds(piece));
+  for (int s = 0; s < sim.num_stations(); ++s) {
+    const StationStats& st = sim.station_stats(s);
+    outcome.stations.push_back(
+        {static_cast<double>(st.attempts), static_cast<double>(st.successes),
+         static_cast<double>(st.collisions),
+         static_cast<double>(st.payload_bits),
+         static_cast<double>(st.arrivals), static_cast<double>(st.drops),
+         static_cast<double>(st.delay_s.count()), st.delay_s.mean()});
+  }
+  outcome.elapsed_s = sim.elapsed_seconds();
+  outcome.busy_fraction = sim.medium_busy_fraction();
+  return outcome;
+}
+
 TEST(DcfChannelSim, RunIsResumable) {
-  DcfChannelSim sim(params(), 3, 5);
-  sim.run(2.0);
-  const auto early = sim.station_stats(0).successes;
-  sim.run(2.0);
-  EXPECT_GT(sim.station_stats(0).successes, early);
-  EXPECT_NEAR(sim.elapsed_seconds(), 4.0, 1e-9);
+  // run(a); run(b) must equal run(a + b) event for event, wherever the
+  // split lands: mid-DIFS, mid-countdown (between and on slot boundaries)
+  // or mid-frame. The split points come from the unsplit run's own trace.
+  DcfParameters rts = params();
+  rts.access_mode = DcfAccessMode::kRtsCts;
+  TrafficOptions poisson;
+  poisson.saturated = false;
+  poisson.arrival_rate_fps = 60.0;
+  poisson.queue_capacity = 4;
+  const struct {
+    const char* name;
+    DcfParameters params;
+    TrafficOptions traffic;
+  } modes[] = {{"basic", params(), {}},
+               {"rts-cts", rts, {}},
+               {"poisson", params(), poisson}};
+  const SimTime total = from_seconds(0.5);
+  for (const auto& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    const ChannelOutcome whole =
+        run_in_pieces(mode.params, mode.traffic, {total});
+    const SimTime difs = from_seconds(mode.params.difs_s);
+    const SimTime slot = from_seconds(mode.params.slot_time_s);
+    // Busy periods [busy[i], idle[i]), in time order.
+    const auto busy = whole.trace.filter(TraceEventKind::kMediumBusy);
+    const auto idle = whole.trace.filter(TraceEventKind::kMediumIdle);
+    ASSERT_GT(idle.size(), 20u);
+    std::vector<SimTime> splits;
+    for (std::size_t i = 0; i + 1 < idle.size() && i + 1 < busy.size(); ++i) {
+      const SimTime gap = busy[i + 1].time - idle[i].time;
+      if (gap <= difs + 2 * slot) continue;  // SIFS gap or a short countdown
+      splits = {(busy[i].time + idle[i].time) / 2,  // mid-frame
+                idle[i].time + difs / 2,            // mid-DIFS
+                idle[i].time + difs + slot / 2,     // mid-slot
+                idle[i].time + difs + slot,         // on a slot boundary
+                busy[i + 1].time};                  // on the busy start
+      if (i >= 10) break;  // past the start-up contention
+    }
+    ASSERT_EQ(splits.size(), 5u);
+    for (const SimTime split : splits) {
+      SCOPED_TRACE(split);
+      const ChannelOutcome resumed =
+          run_in_pieces(mode.params, mode.traffic, {split, total - split});
+      EXPECT_EQ(resumed.trace.to_text(), whole.trace.to_text());
+      EXPECT_EQ(resumed.stations, whole.stations);
+      EXPECT_EQ(resumed.elapsed_s, whole.elapsed_s);
+      EXPECT_EQ(resumed.busy_fraction, whole.busy_fraction);
+    }
+  }
 }
 
 TEST(DcfChannelSim, MediumBusyFractionIsSane) {

@@ -68,7 +68,7 @@ class TracedDcf : public ::testing::Test {
 TEST(TraceDeterminism, IdenticalRunsProduceByteIdenticalTraces) {
   // Regression guard for the sim tier's container-order audit: the medium
   // damages "everything on the air" by iterating its active-transmission
-  // map, and the event queue interleaves same-tick events by sequence
+  // list, and the event queue interleaves same-tick events by sequence
   // number. Neither may let hash or scheduling order leak into the event
   // stream — two runs from the same seed must agree byte for byte, which
   // is also what makes `--sim` sweep columns thread-count-invariant.
