@@ -46,10 +46,22 @@ std::vector<Mode> modes() {
   unsaturated.saturated = false;
   unsaturated.arrival_rate_fps = 400.0;
   unsaturated.queue_capacity = 3;
+  // DIFS == SIFS (the validator's lower limit): a system frame booked one
+  // SIFS after a frame then starts exactly at the contenders' countdown
+  // origin rather than before it, so a counter-0 expiry collides with it.
+  const auto difs_is_sifs = [](DcfParameters p) {
+    p.difs_s = p.sifs_s;
+    return p;
+  };
   return {{"basic-fhss", DcfParameters::bianchi_fhss(), {}},
           {"basic-dsss11", DcfParameters::dsss_11mbps(), {}},
           {"rts-cts-fhss", rts, {}},
-          {"poisson-dsss11", DcfParameters::dsss_11mbps(), unsaturated}};
+          {"poisson-dsss11", DcfParameters::dsss_11mbps(), unsaturated},
+          {"basic-fhss-difs=sifs",
+           difs_is_sifs(DcfParameters::bianchi_fhss()), {}},
+          {"rts-cts-fhss-difs=sifs", difs_is_sifs(rts), {}},
+          {"poisson-dsss11-difs=sifs",
+           difs_is_sifs(DcfParameters::dsss_11mbps()), unsaturated}};
 }
 
 }  // namespace
