@@ -11,13 +11,17 @@
 // index, so ids increase in scheduling order, the heap's FIFO tie-break is
 // the id itself, and a slot's current id doubles as its generation: a
 // stale id (fired or cancelled, its slot since reused) never matches.
+//
+// The heap is indexed: each slot records where its entry sits, so cancel
+// removes the entry at once (the last entry fills the hole and sifts up or
+// down). The heap holds exactly the pending events, and the earliest one
+// is always at its root.
 // Limits: 2^24 events pending at once and 2^40 schedules per queue
 // (std::length_error beyond either).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/sim_time.h"
@@ -36,11 +40,15 @@ class EventQueue {
   /// a harmless no-op (returns false).
   bool cancel(EventId id);
 
-  bool empty() const noexcept { return live_count_ == 0; }
-  std::size_t size() const noexcept { return live_count_; }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
+
+  /// Events scheduled over the queue's lifetime (fired, cancelled or
+  /// pending).
+  std::uint64_t scheduled() const noexcept { return next_seq_ - 1; }
 
   /// Time of the earliest pending event; queue must be non-empty.
-  SimTime next_time();
+  SimTime next_time() const;
 
   /// Pops and runs the earliest event; returns its timestamp.
   /// Queue must be non-empty.
@@ -58,32 +66,38 @@ class EventQueue {
   struct Entry {
     SimTime time;
     EventId id;
-    bool operator>(const Entry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
+    bool before(const Entry& other) const noexcept {
+      if (time != other.time) return time < other.time;
+      return id < other.id;
     }
   };
   struct Slot {
     EventId id = kInvalidEvent;  ///< occupant, kInvalidEvent when free
+    std::uint32_t heap_pos = 0;  ///< index of the occupant's heap entry
     std::function<void()> handler;
   };
 
   static constexpr int kSlotBits = 24;
   static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
 
-  bool is_live(EventId id) const noexcept {
-    const EventId slot = id & kSlotMask;
-    return id != kInvalidEvent && slot < slots_.size() &&
-           slots_[slot].id == id;
+  static std::uint32_t slot_of(EventId id) noexcept {
+    return static_cast<std::uint32_t>(id & kSlotMask);
   }
-  void release(std::uint32_t slot);
-  void drop_cancelled();
+  bool is_live(EventId id) const noexcept {
+    return id != kInvalidEvent && slot_of(id) < slots_.size() &&
+           slots_[slot_of(id)].id == id;
+  }
+  /// Writes `entry` at heap index `pos` and records the position.
+  void place(std::size_t pos, const Entry& entry) noexcept;
+  void sift_up(std::size_t pos, Entry entry) noexcept;
+  void sift_down(std::size_t pos, Entry entry) noexcept;
+  /// Removes the heap entry at `pos` and frees its event's slot.
+  void remove_at(std::size_t pos);
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  ///< binary min-heap on (time, id)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;  // 0 would let slot 0's first id be invalid
-  std::size_t live_count_ = 0;
   EventId running_ = kInvalidEvent;
 };
 

@@ -69,22 +69,11 @@ void DcfStation::on_arrival() {
     queue_.push_back(simulator_.now());
     // A frame arriving to an idle station (re)starts contention; an armed
     // or frozen or transmitting station just grows its queue.
-    if (queue_.size() == 1 && !transmitting_ &&
-        pending_event_ == kInvalidEvent && !medium_busy_) {
+    if (queue_.size() == 1 && !transmitting_ && !armed_ && !medium_busy_) {
       arm();
     }
   }
   schedule_next_arrival();
-}
-
-void DcfStation::arm_if_ready() {
-  if (has_traffic()) {
-    arm();
-    if (trace_recorder_) {
-      trace_recorder_->record(simulator_.now(),
-                              TraceEventKind::kBackoffResumed, trace_id_);
-    }
-  }
 }
 
 int DcfStation::contention_window() const {
@@ -106,10 +95,17 @@ void DcfStation::cancel_pending() {
 
 void DcfStation::arm() {
   cancel_pending();
+  armed_ = true;
   countdown_origin_ = simulator_.now() + difs_;
+  // A system frame booked to start before the origin freezes this
+  // countdown before its first slot, so its expiry could never fire. One
+  // starting exactly at the origin does not: a counter-0 expiry there
+  // collides with it.
+  if (medium_.booked_before(countdown_origin_)) return;
   pending_event_ = simulator_.schedule_at(
       countdown_origin_ + backoff_counter_ * slot_, [this] {
         pending_event_ = kInvalidEvent;
+        armed_ = false;
         backoff_counter_ = 0;
         begin_transmission();
       });
@@ -117,7 +113,7 @@ void DcfStation::arm() {
 
 void DcfStation::on_busy_start() {
   medium_busy_ = true;
-  if (pending_event_ == kInvalidEvent) return;
+  if (!armed_) return;
   // Freeze: every slot boundary up to and including this tick has
   // elapsed idle, so it counts down the counter.
   const SimTime now = simulator_.now();
@@ -137,6 +133,7 @@ void DcfStation::on_busy_start() {
         idle % slot_ == 0 && pending_event_ > simulator_.current_event();
   }
   cancel_pending();
+  armed_ = false;
   if (trace_recorder_ && !transmitting_ && !boundary_runs_later) {
     trace_recorder_->record(now, TraceEventKind::kBackoffFrozen, trace_id_);
   }
@@ -144,8 +141,13 @@ void DcfStation::on_busy_start() {
 
 void DcfStation::on_idle_start() {
   medium_busy_ = false;
-  if (transmitting_) return;  // own outcome handling re-arms us
-  arm_if_ready();
+  if (has_traffic()) {
+    arm();
+    if (trace_recorder_) {
+      trace_recorder_->record(simulator_.now(),
+                              TraceEventKind::kBackoffResumed, trace_id_);
+    }
+  }
 }
 
 void DcfStation::begin_transmission() {
@@ -180,44 +182,34 @@ void DcfStation::on_transmission_end(bool success) {
       stats_.delay_s.add(to_seconds(simulator_.now() - queue_.front()));
       queue_.pop_front();
     }
-    Medium& medium = medium_;
     if (params_.access_mode == DcfAccessMode::kBasic) {
       // The receiver's ACK: a system transmission SIFS after the data.
-      const SimTime ack_duration = ack_duration_;
-      simulator_.schedule_in(sifs_, [&medium, ack_duration] {
-        medium.start_transmission(nullptr, ack_duration);
-      });
+      medium_.book_system_frame(sifs_, ack_duration_);
     } else {
       // Winning RTS reserves the channel: CTS, DATA and ACK follow as
       // system transmissions, each one SIFS after the previous segment.
-      // (SIFS < DIFS, so no contender can seize the gaps.)
-      const SimTime cts_at = sifs_;
-      const SimTime data_at = cts_at + cts_duration_ + sifs_;
-      const SimTime ack_at = data_at + data_duration_ + sifs_;
-      const SimTime cts_duration = cts_duration_;
-      const SimTime data_duration = data_duration_;
-      const SimTime ack_duration = ack_duration_;
-      simulator_.schedule_in(cts_at, [&medium, cts_duration] {
-        medium.start_transmission(nullptr, cts_duration);
-      });
-      simulator_.schedule_in(data_at, [&medium, data_duration] {
-        medium.start_transmission(nullptr, data_duration);
-      });
-      simulator_.schedule_in(ack_at, [&medium, ack_duration] {
-        medium.start_transmission(nullptr, ack_duration);
-      });
+      // (SIFS < DIFS, so no contender can seize the gaps; with SIFS ==
+      // DIFS a counter-0 contender collides with the next segment.)
+      const SimTime data_at = sifs_ + cts_duration_ + sifs_;
+      medium_.book_system_frame(sifs_, cts_duration_);
+      medium_.book_system_frame(data_at, data_duration_);
+      medium_.book_system_frame(data_at + data_duration_ + sifs_,
+                                ack_duration_);
     }
   } else {
     ++stats_.collisions;
     backoff_stage_ = std::min(backoff_stage_ + 1, params_.max_backoff_stage);
   }
   draw_backoff();
-  // If the medium is already idle (this was the last frame in the burst),
-  // the medium's idle notification that follows this callback re-arms the
-  // DIFS wait; otherwise the next on_idle_start does. An unsaturated
-  // station with an empty queue stays quiet until the next arrival.
-  if (medium_.is_idle()) {
-    arm_if_ready();
+  // The next on_idle_start arms the DIFS wait. If this was the last frame
+  // on the air, that is the medium's idle notification right after this
+  // callback, and the resume is logged here as well as there; arming here
+  // too would only schedule an expiry for that notification to cancel. An
+  // unsaturated station with an empty queue stays quiet until the next
+  // arrival.
+  if (medium_.is_idle() && has_traffic() && trace_recorder_) {
+    trace_recorder_->record(simulator_.now(), TraceEventKind::kBackoffResumed,
+                            trace_id_);
   }
 }
 

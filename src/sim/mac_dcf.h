@@ -13,10 +13,19 @@
 //   - on collision the window doubles, up to CW_min * 2^max_backoff_stage
 //     (binary exponential backoff, Bianchi's W and m).
 //
-// Event model: one event per station per contention period, not one per
-// idle slot. Arming (at start, when the medium goes idle, or when a frame
-// reaches an idle station) sets the countdown origin to now + DIFS and
+// Event model: at most one event per station per contention period, not
+// one per idle slot. Arming (at start, when the medium goes idle, or when a
+// frame reaches an idle station) sets the countdown origin to now + DIFS and
 // schedules a single expiry at origin + counter * slot, which transmits.
+// Only an expiry that can fire is scheduled: the ACK after a data frame
+// (and the CTS, DATA and ACK after a winning RTS) is booked on the medium
+// one SIFS ahead, and a station arming in such a SIFS gap, with a booked
+// frame starting strictly before its origin, stays armed without a pending
+// event; the booked frame freezes it before its first slot, with the same
+// trace lines. With DIFS == SIFS (the validator's limit) the booked frame
+// starts exactly at the origin, so the expiry is scheduled: a counter of
+// zero fires into the booked frame and collides, and the boundary rule
+// below needs its id.
 // When the medium turns busy first, the counter freezes by arithmetic:
 // counter -= (now - origin) / slot for now >= origin (a boundary at
 // exactly this tick counts as elapsed), and the expiry is cancelled. If
@@ -125,7 +134,6 @@ class DcfStation final : public MediumListener, public TxListener {
   }
   void schedule_next_arrival();
   void on_arrival();
-  void arm_if_ready();
   void arm();
   void begin_transmission();
   void draw_backoff();
@@ -155,9 +163,11 @@ class DcfStation final : public MediumListener, public TxListener {
   bool transmitting_ = false;
 
   /// The armed countdown: slot boundaries fall at countdown_origin_ +
-  /// j * slot_, and pending_event_ fires at the last one (kInvalidEvent
-  /// when not armed).
+  /// j * slot_, and pending_event_ fires at the last one. armed_ without a
+  /// pending event (kInvalidEvent) means a booked system frame freezes the
+  /// countdown before its origin.
   SimTime countdown_origin_ = 0;
+  bool armed_ = false;
   EventId pending_event_ = kInvalidEvent;
 
   TrafficOptions traffic_;
@@ -193,6 +203,9 @@ class DcfChannelSim {
   /// Attempt-weighted empirical collision probability.
   double collision_probability() const;
   double medium_busy_fraction() const;
+
+  /// The channel's simulation kernel (event counters).
+  const Simulator& simulator() const noexcept { return simulator_; }
 
  private:
   DcfParameters params_;

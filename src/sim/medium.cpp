@@ -44,6 +44,14 @@ void Medium::start_transmission(TxListener* owner, SimTime duration) {
   }
 }
 
+void Medium::book_system_frame(SimTime delay, SimTime duration) {
+  simulator_.schedule_in(delay, [this, duration] {
+    booked_.erase(std::find(booked_.begin(), booked_.end(), simulator_.now()));
+    start_transmission(nullptr, duration);
+  });
+  booked_.push_back(simulator_.now() + delay);
+}
+
 void Medium::end_transmission(std::uint64_t id) {
   const auto it = std::find_if(active_.begin(), active_.end(),
                                [id](const ActiveTx& tx) { return tx.id == id; });

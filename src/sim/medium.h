@@ -5,11 +5,16 @@
 // Carrier sensing is idealized (zero sensing delay): every attached
 // listener learns of busy/idle transitions at the instant they happen.
 // A transmission is successful iff no other transmission overlapped any
-// part of it. ACKs are modelled as owner-less "system" transmissions: they
-// occupy airtime and participate in collision accounting but report to no
-// one.
+// part of it. ACKs (and the CTS and DATA of an RTS/CTS exchange) are
+// modelled as owner-less "system" transmissions: they occupy airtime and
+// participate in collision accounting but report to no one. They are
+// booked ahead (book_system_frame), and the medium remembers each booked
+// start until the frame goes on the air, so a station arming its backoff
+// can tell that a booked frame will make the medium busy before its DIFS
+// wait ends (booked_before).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +61,17 @@ class Medium {
   /// verdict.
   void start_transmission(TxListener* owner, SimTime duration);
 
+  /// Books an owner-less system frame (ACK, CTS, reserved DATA) of
+  /// `duration` ns to start `delay` ns from now. Until it starts, stations
+  /// can ask booked_before() whether it will seize the medium first.
+  void book_system_frame(SimTime delay, SimTime duration);
+
+  /// True when a booked system frame starts strictly before `t`.
+  bool booked_before(SimTime t) const noexcept {
+    return std::any_of(booked_.begin(), booked_.end(),
+                       [t](SimTime start) { return start < t; });
+  }
+
   /// Cumulative airtime statistics.
   std::uint64_t transmissions_started() const noexcept { return started_; }
   std::uint64_t collisions_observed() const noexcept { return collided_; }
@@ -79,6 +95,9 @@ class Medium {
   // holds the handful of concurrently airborne frames, so a linear find
   // beats a tree and allocates nothing once its capacity has grown.
   std::vector<ActiveTx> active_;
+  // Start times of the booked system frames not yet on the air (at most
+  // the three of one RTS/CTS exchange).
+  std::vector<SimTime> booked_;
   std::uint64_t next_tx_id_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t collided_ = 0;

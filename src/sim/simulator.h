@@ -35,6 +35,11 @@ class Simulator {
   std::size_t run_all();
 
   std::size_t events_processed() const noexcept { return processed_; }
+  /// Events ever scheduled; scheduled - processed - pending = cancelled.
+  std::uint64_t events_scheduled() const noexcept {
+    return queue_.scheduled();
+  }
+  std::size_t events_pending() const noexcept { return queue_.size(); }
   bool idle() const noexcept { return queue_.empty(); }
 
  private:

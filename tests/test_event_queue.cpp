@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace mrca::sim {
 namespace {
@@ -199,6 +206,124 @@ TEST(EventQueue, RunningIdIsTheDispatchedEvent) {
   queue.run_next();
   EXPECT_EQ(seen, id);
   EXPECT_EQ(queue.running(), kInvalidEvent);
+}
+
+// Drives an EventQueue and a reference std::set of (time, id) with the
+// same random operations and checks that they agree after every one.
+class QueueDifferential {
+ public:
+  explicit QueueDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int steps) {
+    for (int step = 0; step < steps && !::testing::Test::HasFailure();
+         ++step) {
+      const std::uint64_t op = rng_.next_below(10);
+      if (op < 4) {
+        schedule();
+      } else if (op < 6) {
+        cancel();
+      } else {
+        run_due();
+      }
+      check_state();
+    }
+    while (!reference_.empty() && !::testing::Test::HasFailure()) {
+      run_due(reference_.rbegin()->first);
+    }
+    check_state();
+  }
+
+ private:
+  // Few distinct offsets, so many events share a timestamp.
+  SimTime draw_time() {
+    return clock_ + static_cast<SimTime>(rng_.next_below(6));
+  }
+
+  void schedule() {
+    const SimTime when = draw_time();
+    const EventId id = queue_.schedule(when, [this] { handle(); });
+    EXPECT_TRUE(live_.emplace(id, when).second) << "id reused: " << id;
+    reference_.emplace(when, id);
+    issued_.push_back(id);
+  }
+
+  // Live, fired, already-cancelled or stale ids, or ones never issued.
+  EventId draw_id() {
+    if (issued_.empty() || rng_.next_below(8) == 0) {
+      return rng_.next_below(2) == 0 ? kInvalidEvent : rng_.next_u64();
+    }
+    return issued_[rng_.next_below(issued_.size())];
+  }
+
+  void cancel() {
+    const EventId id = draw_id();
+    const auto it = live_.find(id);
+    const bool expected = it != live_.end();
+    if (expected) {
+      reference_.erase({it->second, id});
+      live_.erase(it);
+    }
+    EXPECT_EQ(queue_.cancel(id), expected) << "cancel " << id;
+  }
+
+  void run_due() {
+    run_due(clock_ + static_cast<SimTime>(rng_.next_below(4)) - 1);
+  }
+
+  void run_due(SimTime horizon) {
+    expected_ = kInvalidEvent;
+    SimTime expected_time = clock_;
+    if (!reference_.empty() && reference_.begin()->first <= horizon) {
+      std::tie(expected_time, expected_) = *reference_.begin();
+      reference_.erase(reference_.begin());
+      live_.erase(expected_);
+    }
+    SimTime clock = clock_;
+    const std::size_t before = fired_;
+    EXPECT_EQ(queue_.run_due(horizon, clock), expected_ != kInvalidEvent);
+    EXPECT_EQ(fired_, before + (expected_ != kInvalidEvent ? 1 : 0));
+    EXPECT_EQ(clock, expected_time);
+    clock_ = clock;
+  }
+
+  // A dispatched handler: checks it is the expected event, then maybe
+  // schedules and cancels in turn.
+  void handle() {
+    ++fired_;
+    EXPECT_EQ(queue_.running(), expected_) << "dispatch order";
+    EXPECT_FALSE(queue_.cancel(queue_.running())) << "cancelled itself";
+    const std::uint64_t action = rng_.next_below(4);
+    if (action & 1) schedule();
+    if (action & 2) cancel();
+  }
+
+  void check_state() {
+    EXPECT_EQ(queue_.size(), reference_.size());
+    EXPECT_EQ(queue_.empty(), reference_.empty());
+    EXPECT_EQ(queue_.scheduled(), issued_.size());
+    if (reference_.empty()) {
+      EXPECT_THROW(queue_.next_time(), std::logic_error);
+    } else {
+      EXPECT_EQ(queue_.next_time(), reference_.begin()->first);
+    }
+  }
+
+  Rng rng_;
+  EventQueue queue_;
+  std::set<std::pair<SimTime, EventId>> reference_;
+  std::map<EventId, SimTime> live_;
+  std::vector<EventId> issued_;
+  EventId expected_ = kInvalidEvent;
+  SimTime clock_ = 0;
+  std::size_t fired_ = 0;
+};
+
+TEST(EventQueue, RandomOperationsMatchAReferenceSet) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    QueueDifferential(seed).run(2000);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(SimTimeConversions, RoundTrip) {

@@ -189,6 +189,40 @@ TEST(DcfChannelSim, RunIsResumable) {
   }
 }
 
+// Events scheduled and then cancelled before they could fire.
+std::uint64_t cancelled_events(const DcfChannelSim& sim) {
+  const Simulator& kernel = sim.simulator();
+  return kernel.events_scheduled() - kernel.events_processed() -
+         kernel.events_pending();
+}
+
+TEST(DcfChannelSim, SchedulesOnlyExpiriesThatCanFire) {
+  // A station arming in the SIFS gap before a booked ACK (or CTS, DATA)
+  // schedules nothing, and one whose own frame was the last on the air
+  // arms once, on the idle notification. So a lone station never cancels,
+  // and in a crowd each busy start cancels at most the other stations'
+  // expiries.
+  DcfParameters rts = params();
+  rts.access_mode = DcfAccessMode::kRtsCts;
+  for (const DcfParameters& p : {params(), rts}) {
+    SCOPED_TRACE(p.access_mode == DcfAccessMode::kBasic ? "basic" : "rts");
+    DcfChannelSim lone(p, 1, 5);
+    lone.run(5.0);
+    EXPECT_GT(lone.station_stats(0).attempts, 0u);
+    EXPECT_EQ(cancelled_events(lone), 0u);
+
+    const int n = 8;
+    DcfChannelSim crowd(p, n, 5);
+    crowd.run(5.0);
+    std::uint64_t attempts = 0;
+    for (int s = 0; s < n; ++s) attempts += crowd.station_stats(s).attempts;
+    ASSERT_GT(attempts, 0u);
+    EXPECT_LE(static_cast<double>(cancelled_events(crowd)) /
+                  static_cast<double>(attempts),
+              n);
+  }
+}
+
 TEST(DcfChannelSim, MediumBusyFractionIsSane) {
   DcfChannelSim sim(params(), 5, 13);
   sim.run(10.0);

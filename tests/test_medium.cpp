@@ -51,6 +51,28 @@ TEST(Medium, SoloTransmissionSucceeds) {
             (std::vector<std::string>{"busy", "idle"}));
 }
 
+TEST(Medium, BookedSystemFrameIsRememberedUntilItStarts) {
+  Simulator sim;
+  Medium medium(sim);
+  Probe probe;
+  medium.attach(&probe);
+  medium.book_system_frame(10, 5);
+  medium.book_system_frame(30, 5);
+  EXPECT_TRUE(medium.is_idle());
+  EXPECT_FALSE(medium.booked_before(10));  // strictly before only
+  EXPECT_TRUE(medium.booked_before(11));
+  sim.run_until(10);
+  EXPECT_FALSE(medium.is_idle());
+  EXPECT_FALSE(medium.booked_before(30));
+  EXPECT_TRUE(medium.booked_before(31));
+  sim.run_until(100);
+  EXPECT_FALSE(medium.booked_before(1000));
+  EXPECT_EQ(medium.transmissions_started(), 2u);
+  EXPECT_TRUE(probe.outcomes.empty());  // system frames report to no one
+  EXPECT_EQ(probe.transitions,
+            (std::vector<std::string>{"busy", "idle", "busy", "idle"}));
+}
+
 TEST(Medium, OverlapCollidesBothFrames) {
   Simulator sim;
   Medium medium(sim);
