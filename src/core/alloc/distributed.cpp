@@ -1,5 +1,6 @@
 #include "core/alloc/distributed.h"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -25,6 +26,7 @@ DistributedResult run_distributed_allocation(const GameModel& model,
   // One scanner, re-bound after every commit phase: the termination test
   // and the plan phase read the same memoized scans of the snapshot.
   SnapshotScanner scanner(model, state, options.tolerance);
+  std::vector<UserId> active(users);
   std::vector<SingleChange> planned;
   planned.reserve(users);
   while (result.rounds < options.max_rounds) {
@@ -37,9 +39,16 @@ DistributedResult run_distributed_allocation(const GameModel& model,
       break;
     }
     // Plan phase: all active users decide against the same stale snapshot.
-    planned.clear();
+    // The round's coins are drawn first, in user order; scans draw nothing,
+    // so the stream and the planned order are those of drawing per user.
+    // Every user is written to the next free slot, which a won coin keeps.
+    std::size_t active_count = 0;
     for (UserId user = 0; user < users; ++user) {
-      if (!rng.bernoulli(options.activation_probability)) continue;
+      active[active_count] = user;
+      active_count += rng.bernoulli(options.activation_probability) ? 1 : 0;
+    }
+    planned.clear();
+    for (const UserId user : std::span(active).first(active_count)) {
       if (const auto& change = scanner.best(user)) planned.push_back(*change);
     }
     // Commit phase: apply simultaneously-decided changes. A planned change

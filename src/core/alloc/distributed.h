@@ -20,16 +20,19 @@
 // budget- and cost-aware, through the same shared deviation scanner as the
 // centralized dynamics.
 //
-// Cost per round: one SnapshotScanner (core/analysis/snapshot_scan.h),
+// Cost per round: N activation coins, drawn first in user order, then one
+// SnapshotScanner (core/analysis/snapshot_scan.h) scan per active user,
 // re-bound to the state after each commit phase. A round costs one share
-// table build (single collision domain; under a topology each scanned user
-// is priced at its own perceived loads instead) plus at most one scan per
-// evaluated user: the termination test and the plan phase share the
-// scanner's memoized scans. The loop keeps no UtilityCache:
-// a herding round commits many simultaneous moves (about 17 per round on
-// 32- and 64-user, 8-channel, 2-radio cells at the default p), and the
-// cache would re-price every occupant of both channels of each move, about
-// as much work as the scans it could save.
+// table build and ranking (single collision domain; under a topology each
+// scanned user is priced at its own perceived loads instead) plus at most
+// one scan per evaluated user: the termination test and the plan phase
+// share the scanner's memoized scans. A single-domain scan walks the
+// table's destination ranking, O(k^2) for a user on k channels rather
+// than O(k * |C|). The loop keeps no UtilityCache: a herding round
+// commits many simultaneous moves (about 17 per round on 32- and 64-user,
+// 8-channel, 2-radio cells at the default p), and the cache would
+// re-price every occupant of both channels of each move, about as much
+// work as the scans it could save.
 #pragma once
 
 #include "common/rng.h"

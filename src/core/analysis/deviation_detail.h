@@ -23,16 +23,32 @@
 // Hot-path layout: every scan runs in two steps. Step one fills three
 // contiguous per-channel share arrays (current share, share after adding a
 // radio, share after removing one): fill_scan_kernels prices them for one
-// user at the loads it sees, ShareTable::fill reads them from a table
-// priced once per snapshot (single collision domain). Step two,
-// enumerate_single_changes, is the one place candidates are ordered and
-// their benefits assembled, as pure array reads. Each candidate's benefit
-// uses exactly the same expression shape the per-candidate helpers use —
-// same terms, same grouping — so the flat kernels are bit-identical to the
-// scalar path. `scan_single_changes_pruned` additionally restricts the
-// enumeration to candidates touching a caller-proven "dirty" channel set
-// (see UtilityCache::plan_scan); everything it omits was <= tolerance at
-// the user's last completed scan and is unchanged since.
+// user at the loads it sees. Step two, enumerate_single_changes, orders the
+// candidates and assembles their benefits as pure array reads. Each
+// candidate's benefit uses exactly the same expression shape the
+// per-candidate helpers use — same terms, same grouping — so the flat
+// kernels are bit-identical to the scalar path. `scan_single_changes_pruned`
+// additionally restricts the enumeration to candidates touching a
+// caller-proven "dirty" channel set (see UtilityCache::plan_scan);
+// everything it omits was <= tolerance at the user's last completed scan
+// and is unchanged since.
+//
+// Candidate orders: there are two, held equal. enumerate_single_changes
+// visits every candidate in the enumeration order above. In the single
+// collision domain, best_single_change_ranked reads the kernels from a
+// ShareTable priced once per snapshot and visits the destinations the user
+// does not occupy in the table's ranking instead (row-0 gain_to,
+// descending). On such a destination before = 0.0, so a candidate's
+// benefit — the same expression — is a monotone non-decreasing function
+// of gain_to (IEEE round-to-nearest is monotone; kernels are finite, since
+// RateTable rejects non-finite rates), and the walk can stop at the first
+// smaller benefit. It keeps walking through equal ones, for the smallest
+// index: rounding can tie a lower-ranked channel with a lower index. Both
+// give BestChangePicker's answer, change and benefit bits;
+// test_snapshot_scan checks that against GameModel::best_single_change on
+// random and herding states of every scenario kind, and on a rate table
+// whose rates differ by one ulp, so that ranking and rounded benefits
+// disagree.
 #pragma once
 
 #include <algorithm>
@@ -168,6 +184,12 @@ void fill_scan_kernels(const StrategyMatrix& strategies, UserId user,
   }
 }
 
+/// One occupied entry of a user's row: `own` > 0 radios on `channel`.
+struct RowEntry {
+  ChannelId channel;
+  RadioCount own;
+};
+
 /// Snapshot share table for the single collision domain. There every user
 /// sees the same loads, so the three kernels of a channel depend only on
 /// the user's own count there: one build prices each channel once, and a
@@ -177,6 +199,10 @@ void fill_scan_kernels(const StrategyMatrix& strategies, UserId user,
 /// as in a per-user fill; a channel is receivable while its load is below
 /// `total_radios` (a load no legal change exceeds), so a strict rate table
 /// is never read past the game's radios.
+///
+/// The build also ranks the channels by their row-0 gain_to kernel,
+/// descending, ascending channel index on equal values: the destination
+/// order best_single_change_ranked walks.
 class ShareTable {
  public:
   /// Prices every channel at `loads` for own counts 0..max_own. Own counts
@@ -210,24 +236,49 @@ class ShareTable {
         gain_from_[at] = kernels.gain_from;
       }
     }
+    ranking_.resize(channels_);
+    for (ChannelId c = 0; c < channels_; ++c) ranking_[c] = {gain_to_[c], c};
+    std::ranges::sort(ranking_, [](const Ranked& a, const Ranked& b) {
+      return a.gain_to > b.gain_to ||
+             (a.gain_to == b.gain_to && a.channel < b.channel);
+    });
+    // level_end_[i]: the first rank past the run of rank i's kernel value.
+    level_end_.resize(channels_);
+    for (std::size_t i = channels_; i-- > 0;) {
+      level_end_[i] = i + 1 < channels_ &&
+                              ranking_[i].gain_to == ranking_[i + 1].gain_to
+                          ? level_end_[i + 1]
+                          : i + 1;
+    }
   }
 
-  /// Step one of a table-fed scan: fills buf.own and the three share
-  /// kernels of `user` (buf.load is not needed and left as is).
-  void fill(const StrategyMatrix& strategies, UserId user,
-            ScanBuffers& buf) const {
-    buf.resize(channels_);
-    std::fill(buf.own.begin(), buf.own.end(), 0);
-    std::copy_n(before_.begin(), channels_, buf.before.begin());
-    std::copy_n(gain_to_.begin(), channels_, buf.gain_to.begin());
-    std::copy_n(gain_from_.begin(), channels_, buf.gain_from.begin());
-    strategies.for_each_row_entry(user, [&](ChannelId c, RadioCount own) {
-      const std::size_t at = static_cast<std::size_t>(own) * channels_ + c;
-      buf.own[c] = own;
-      buf.before[c] = before_[at];
-      buf.gain_to[c] = gain_to_[at];
-      buf.gain_from[c] = gain_from_[at];
-    });
+  /// The kernels of a user holding `own` radios on `channel`.
+  ShareKernels kernels(ChannelId channel, RadioCount own) const {
+    const std::size_t at = static_cast<std::size_t>(own) * channels_ + channel;
+    return {before_[at], gain_to_[at], gain_from_[at]};
+  }
+
+  /// A channel of one kernel level and the rank where the next level
+  /// starts; `rank_after` is past the ranking when `to` is none.
+  struct Head {
+    std::optional<ChannelId> to;
+    std::size_t rank_after;
+  };
+
+  /// From rank `rank` on, the first level holding a channel `admits`
+  /// accepts, with its smallest such channel (ranks within a level ascend
+  /// by index).
+  template <typename Admits>
+  Head next_head(std::size_t rank, Admits admits) const {
+    while (rank < channels_) {
+      const std::size_t end = level_end_[rank];
+      for (; rank < end; ++rank) {
+        if (admits(ranking_[rank].channel)) {
+          return {ranking_[rank].channel, end};
+        }
+      }
+    }
+    return {std::nullopt, channels_};
   }
 
  private:
@@ -235,6 +286,12 @@ class ShareTable {
   std::vector<double> before_;
   std::vector<double> gain_to_;
   std::vector<double> gain_from_;
+  struct Ranked {
+    double gain_to;  // row 0
+    ChannelId channel;
+  };
+  std::vector<Ranked> ranking_;
+  std::vector<std::size_t> level_end_;
 };
 
 /// Step two of every scan: enumerates `user`'s single-radio changes from
@@ -344,6 +401,85 @@ struct BestChangePicker {
     if (!best || candidate.benefit > best->benefit) best = candidate;
   }
 };
+
+/// The best single change of a user holding `row` (its occupied entries,
+/// ascending channel) at the snapshot `table` prices: the change, with the
+/// benefit bits, that BestChangePicker takes from enumerate_single_changes
+/// over every channel, found without pricing every (from, to) pair.
+///
+/// The enumeration's candidates fall into groups: the deploys, and per
+/// occupied source its park and its moves. A group's candidates are
+/// consecutive and ascend by destination, so the picker can only take a
+/// group's first largest benefit, and each group reaches the picker as
+/// that one candidate, in enumeration order. Destinations the user
+/// occupies (at most k) are priced directly; the others are walked in
+/// ranking order (see "Candidate orders" above), through equal benefits,
+/// to the first smaller one.
+inline std::optional<SingleChange> best_single_change_ranked(
+    const ShareTable& table, UserId user, std::span<const RowEntry> row,
+    double tolerance, double cost, bool has_spare) {
+  const auto unoccupied = [&](ChannelId c) {
+    for (const RowEntry& entry : row) {
+      if (entry.channel == c) return false;
+    }
+    return true;
+  };
+  // Channels of one kernel level price to the same benefit, so the walk
+  // visits each level once, through its smallest unoccupied channel. The
+  // first two levels, read once, serve every group; only a rounding tie
+  // walks further.
+  const ShareTable::Head first = table.next_head(0, unoccupied);
+  const ShareTable::Head second = table.next_head(first.rank_after, unoccupied);
+  const ShareKernels first_kernels =
+      first.to ? table.kernels(*first.to, 0) : ShareKernels{};
+  const ShareKernels second_kernels =
+      second.to ? table.kernels(*second.to, 0) : ShareKernels{};
+  BestChangePicker picker{tolerance, std::nullopt};
+  const auto offer_group = [&](SingleChange::Kind kind, ChannelId from,
+                               auto benefit_of) {
+    bool found = first.to.has_value();
+    ChannelId best_to = first.to.value_or(0);
+    double best = found ? benefit_of(first_kernels) : 0.0;
+    if (second.to && benefit_of(second_kernels) >= best) {
+      best_to = std::min(best_to, *second.to);
+      for (ShareTable::Head head =
+               table.next_head(second.rank_after, unoccupied);
+           head.to; head = table.next_head(head.rank_after, unoccupied)) {
+        if (benefit_of(table.kernels(*head.to, 0)) < best) break;
+        best_to = std::min(best_to, *head.to);
+      }
+    }
+    for (const RowEntry& entry : row) {
+      if (kind == SingleChange::Kind::kMove && entry.channel == from) continue;
+      const double benefit =
+          benefit_of(table.kernels(entry.channel, entry.own));
+      if (!found || benefit > best ||
+          (benefit == best && entry.channel < best_to)) {
+        found = true;
+        best_to = entry.channel;
+        best = benefit;
+      }
+    }
+    if (found) picker(SingleChange{kind, user, from, best_to, best});
+  };
+  if (has_spare) {
+    offer_group(SingleChange::Kind::kDeploy, /*from=*/0,
+                [cost](const ShareKernels& to) {
+                  return to.gain_to - to.before - cost;
+                });
+  }
+  for (const RowEntry& source : row) {
+    const ShareKernels from = table.kernels(source.channel, source.own);
+    picker(SingleChange{SingleChange::Kind::kPark, user, source.channel,
+                        /*to=*/0, from.gain_from - from.before + cost});
+    offer_group(SingleChange::Kind::kMove, source.channel,
+                [&from](const ShareKernels& to) {
+                  return (from.gain_from + to.gain_to) -
+                         (from.before + to.before);
+                });
+  }
+  return picker.best;
+}
 
 template <typename RateAt, typename LoadAt>
 std::optional<SingleChange> best_single_change(const StrategyMatrix& strategies,

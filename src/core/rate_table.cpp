@@ -1,6 +1,8 @@
 #include "core/rate_table.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mrca {
 
@@ -15,6 +17,10 @@ RateTable::RateTable(const RateFunction& fn, RadioCount max_load)
   for (RadioCount k = 1; k <= max_load; ++k) {
     const auto i = static_cast<std::size_t>(k);
     rates_[i] = fn.rate(k);
+    if (!std::isfinite(rates_[i])) {
+      throw std::invalid_argument("RateTable: rate at load " +
+                                  std::to_string(k) + " is not finite");
+    }
     per_radio_[i] = rates_[i] / static_cast<double>(k);
   }
 }

@@ -18,7 +18,10 @@ namespace mrca {
 class RateTable {
  public:
   /// Tabulates `fn` over loads 0..max_load. The function must outlive the
-  /// table (it backs the out-of-range fallback).
+  /// table (it backs the out-of-range fallback). Throws
+  /// std::invalid_argument naming the load if a tabulated rate is not
+  /// finite: the scans compare shares, and a NaN or infinite share breaks
+  /// the ordering they rely on.
   RateTable(const RateFunction& fn, RadioCount max_load);
 
   /// R(k); bit-identical to fn.rate(k).

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/alloc/distributed.h"
 #include "core/alloc/random_alloc.h"
 #include "core/analysis/deviation.h"
 #include "engine/scenario.h"
@@ -60,34 +63,97 @@ RadioCount radio_total(const engine::ScenarioSpec& spec, std::size_t users,
       .total_radios();
 }
 
+/// In the single collision domain the scanner walks the share table's
+/// destination ranking instead of enumerating every (from, to) pair; under
+/// a topology it enumerates. Either way it must return the enumeration's
+/// change with the same benefit bits: on wide cells (up to 16 channels and
+/// 3 radios), tie-heavy TDMA, an energy price, spare radios under budgets,
+/// random and herding states, both storages.
 TEST(SnapshotScanner, MatchesPerCallScanOnRandomStatesOfEveryScenarioKind) {
-  for (const char* scenario : {"base", "energy=0.3", "het=2:1", "budgets=1:3",
-                               "weights=2:1", "topology=ring:1",
-                               "topology=ring:2"}) {
+  struct Shape {
+    std::size_t users;
+    std::size_t channels;
+    RadioCount radios;
+  };
+  const Shape shapes[] = {
+      {7, 4, 2}, {6, 16, 3}, {10, 12, 3}, {24, 8, 2}, {4, 16, 1}};
+  for (const char* scenario :
+       {"base", "energy=0.05", "energy=0.3", "het=2:1", "budgets=1:3",
+        "weights=2:1", "topology=ring:1", "topology=ring:2"}) {
     const auto spec = engine::ScenarioSpec::parse(scenario);
-    // A strict DCF table is sized to the cell's own radio total, so it
-    // throws on any load past it.
-    const RadioCount total = radio_total(spec, 7, 4, 2);
-    for (const char* rate : {"powerlaw=0.5", "tdma", "dcf"}) {
-      SCOPED_TRACE(std::string(scenario) + " / " + rate);
-      const GameModel model =
-          spec.make_model(7, 4, 2, engine::RateSpec::parse(rate).make(total));
-      Rng rng(2024);
-      StrategyMatrix state = model.empty_strategy();
-      SnapshotScanner scanner(model, state);
-      for (int trial = 0; trial < 60; ++trial) {
-        // Re-binding one scanner across states also checks that every
-        // memoized answer is forgotten on bind.
-        state = trial % 2 == 0 ? random_partial_allocation(model, rng)
-                               : random_full_allocation(model, rng);
-        scanner.bind(state);
-        expect_matches_per_call_scan(model, state, scanner);
-        const StrategyMatrix sparse =
-            restored(state, StrategyMatrix::Storage::kSparse);
-        SnapshotScanner sparse_scanner(model, sparse);
-        expect_matches_per_call_scan(model, sparse, sparse_scanner);
+    for (const Shape& shape : shapes) {
+      // A strict DCF table is sized to the cell's own radio total, so it
+      // throws on any load past it.
+      const RadioCount total =
+          radio_total(spec, shape.users, shape.channels, shape.radios);
+      for (const char* rate : {"powerlaw=0.5", "tdma", "geom=0.9", "dcf"}) {
+        const GameModel model =
+            spec.make_model(shape.users, shape.channels, shape.radios,
+                            engine::RateSpec::parse(rate).make(total));
+        StrategyMatrix state = model.empty_strategy();
+        SnapshotScanner scanner(model, state);
+        for (std::uint64_t seed = 0; seed < 30; ++seed) {
+          SCOPED_TRACE(std::string(scenario) + " / " + rate + " / " +
+                       std::to_string(shape.users) + "x" +
+                       std::to_string(shape.channels) + "x" +
+                       std::to_string(shape.radios) + " seed " +
+                       std::to_string(seed));
+          Rng rng(seed);
+          state = seed % 2 == 0 ? random_partial_allocation(model, rng)
+                                : random_full_allocation(model, rng);
+          if (seed % 3 == 0) {
+            // A few protocol rounds balance the loads: many channels then
+            // share a kernel value.
+            DistributedOptions options;
+            options.max_rounds = 1 + seed % 7;
+            state = run_distributed_allocation(model, state, options, rng)
+                        .final_state;
+          }
+          // Re-binding one scanner across states also checks that every
+          // memoized answer is forgotten on bind.
+          scanner.bind(state);
+          expect_matches_per_call_scan(model, state, scanner);
+          const StrategyMatrix sparse =
+              restored(state, StrategyMatrix::Storage::kSparse);
+          SnapshotScanner sparse_scanner(model, sparse);
+          expect_matches_per_call_scan(model, sparse, sparse_scanner);
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
+  }
+}
+
+TEST(SnapshotScanner, RankedSearchKeepsTheLowestIndexOnARoundingTie) {
+  // Channel c > 0 pays one ulp more than channel c - 1, so the ranking
+  // puts the highest index first. User 0's move off its three radios on
+  // channel 0 sums (7 + rate) - (7.875 + 0), and at that magnitude the
+  // ulps round away: every destination ties and the enumeration keeps
+  // channel 1. The walk must go on through the equal benefits to find it.
+  constexpr std::size_t kChannels = 6;
+  std::vector<std::shared_ptr<const RateFunction>> rates{
+      std::make_shared<ConstantRate>(10.5)};
+  double rate = 1.0;
+  for (std::size_t c = 1; c < kChannels; ++c) {
+    rates.push_back(std::make_shared<ConstantRate>(rate));
+    rate = std::nextafter(rate, 2.0);
+  }
+  for (const double cost : {0.0, 0.25}) {
+    SCOPED_TRACE("cost " + std::to_string(cost));
+    const GameModel model(kChannels, {3, 1}, rates, cost);
+    const StrategyMatrix state =
+        testing::matrix_of(model, {{3, 0, 0, 0, 0, 0}, {1, 0, 0, 0, 0, 0}});
+    const auto expected = model.best_single_change(state, 0);
+    ASSERT_TRUE(expected.has_value());
+    ASSERT_EQ(expected->kind, SingleChange::Kind::kMove);
+    ASSERT_EQ(expected->to, 1u);
+    ASSERT_NE(model.rate(1, 1), model.rate(kChannels - 1, 1));
+    SnapshotScanner scanner(model, state);
+    expect_matches_per_call_scan(model, state, scanner);
+    const StrategyMatrix sparse =
+        restored(state, StrategyMatrix::Storage::kSparse);
+    SnapshotScanner sparse_scanner(model, sparse);
+    expect_matches_per_call_scan(model, sparse, sparse_scanner);
   }
 }
 

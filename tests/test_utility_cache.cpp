@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,6 +47,46 @@ TEST(RateTable, FallsBackToFunctionBeyondTabulatedRange) {
   const RateTable table(rate_fn, 4);
   EXPECT_EQ(table.rate(9), rate_fn.rate(9));
   EXPECT_EQ(table.per_radio(9), rate_fn.per_radio(9));
+}
+
+/// A rate function that is finite everywhere except at one load.
+class NonFiniteAtRate final : public RateFunction {
+ public:
+  NonFiniteAtRate(RadioCount bad_load, double bad_rate)
+      : bad_load_(bad_load), bad_rate_(bad_rate) {}
+  double rate(int k) const override {
+    return k == bad_load_ ? bad_rate_ : (k > 0 ? 1.0 : 0.0);
+  }
+  std::string name() const override { return "non-finite"; }
+
+ private:
+  RadioCount bad_load_;
+  double bad_rate_;
+};
+
+TEST(RateTable, RejectsANonFiniteRateNamingTheLoad) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const NonFiniteAtRate rate_fn(3, bad);
+    try {
+      const RateTable table(rate_fn, 5);
+      ADD_FAILURE() << "accepted a rate of " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("load 3"), std::string::npos)
+          << error.what();
+    }
+    // Only the tabulated loads are checked: past max_load the function is
+    // the table's fallback, read only for loads no game of that size has.
+    EXPECT_NO_THROW(RateTable(rate_fn, 2));
+  }
+  // validate_non_increasing rejects an infinity but lets a NaN through (its
+  // comparisons are false); the game's table, sized to load 4, stops it.
+  EXPECT_THROW(
+      GameModel(GameConfig(2, 2, 2),
+                std::make_shared<NonFiniteAtRate>(
+                    3, std::numeric_limits<double>::quiet_NaN())),
+      std::invalid_argument);
 }
 
 TEST(UtilityCache, MatchesFullRecomputeOnFigure1) {
